@@ -58,7 +58,7 @@ CutSet = Dict[int, List[Cut]]
 
 def _lift(cut: Cut, union: Tuple[int, ...]) -> int:
     """Express a cut's table over a superset leaf tuple."""
-    positions = [union.index(leaf) for leaf in cut.leaves]
+    positions = tuple(map(union.index, cut.leaves))
     return expand_table(cut.table, positions, len(union))
 
 
@@ -128,16 +128,13 @@ def enumerate_cuts(
                         (lit_node(fan_b) & 0x7FF) * 8,
                     )
                 )
+            merges = kept = pruned = 0
             for ca in list_a:
                 for cb in list_b:
-                    stats.merges += 1
-                    union = tuple(sorted(set(ca.leaves) | set(cb.leaves)))
-                    if len(union) > k:
-                        stats.pruned += 1
-                        keep_branches.append(False)
-                        continue
-                    if union in seen_leaves:
-                        stats.pruned += 1
+                    merges += 1
+                    union = tuple(sorted({*ca.leaves, *cb.leaves}))
+                    if len(union) > k or union in seen_leaves:
+                        pruned += 1
                         keep_branches.append(False)
                         continue
                     nvars = len(union)
@@ -150,19 +147,24 @@ def enumerate_cuts(
                     merged.append(Cut(leaves=union, table=ta & tb))
                     seen_leaves.add(union)
                     keep_branches.append(True)
-                    stats.kept += 1
+                    kept += 1
             # Dominance filter: drop any cut whose leaves are a strict
             # superset of another kept cut's leaves.
-            merged.sort(key=lambda c: (c.size, c.leaves))
+            merged.sort(key=lambda c: (len(c.leaves), c.leaves))
             filtered: List[Cut] = []
+            filtered_sets: List[frozenset] = []
             for cut in merged:
-                leaf_set = set(cut.leaves)
-                dominated = any(set(f.leaves) < leaf_set for f in filtered)
+                leaf_set = frozenset(cut.leaves)
+                dominated = any(f < leaf_set for f in filtered_sets)
                 keep_branches.append(not dominated)
                 if dominated:
-                    stats.pruned += 1
+                    pruned += 1
                     continue
                 filtered.append(cut)
+                filtered_sets.append(leaf_set)
+            stats.merges += merges
+            stats.kept += kept
+            stats.pruned += pruned
             filtered = filtered[:cap]
             filtered.append(Cut(leaves=(node,), table=trivial_table))
             cuts[node] = filtered

@@ -25,11 +25,12 @@ k workers yields runtime(k) — large designs have wide waves and scale to
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,9 +46,13 @@ from .placement import Placement
 __all__ = ["RoutingResult", "GlobalRouter", "RouteSegment"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RouteSegment:
-    """One routed two-pin connection."""
+    """One routed two-pin connection.
+
+    Compared by identity: two segments of one net may share source, target
+    and path, and rip-up must remove the very object it ripped.
+    """
 
     net: str
     source: Tuple[int, int]
@@ -159,23 +164,40 @@ class GlobalRouter:
         else:
             capacity = self.capacity
 
-        # Edge usage/history: horizontal edges (x,y)->(x+1,y), vertical
-        # (x,y)->(x,y+1), stored as flat numpy arrays.
-        h_usage = np.zeros((width - 1) * height, dtype=np.int32)
-        v_usage = np.zeros(width * (height - 1), dtype=np.int32)
-        h_hist = np.zeros_like(h_usage, dtype=np.float64)
-        v_hist = np.zeros_like(v_usage, dtype=np.float64)
+        # Edge usage/history over one flat edge id space: horizontal edges
+        # (x,y)->(x+1,y) take ids y*(width-1)+x, vertical edges
+        # (x,y)->(x,y+1) follow at num_h + y*width+x.  Cells are y*width+x.
+        num_h = (width - 1) * height
+        num_edges = num_h + width * (height - 1)
+        usage = [0] * num_edges
+        hist = np.zeros(num_edges, dtype=np.float64)
+        # Search-time edge costs, 1.0 + hist + pres_fac * over: refreshed
+        # in full whenever pres_fac or the history changes and patched by
+        # ``commit`` whenever usage changes, so the A* loop only reads them.
+        base_cost: List[float] = []
+        edge_cost: List[float] = []
 
-        def h_index(x: int, y: int) -> int:
-            return y * (width - 1) + x
-
-        def v_index(x: int, y: int) -> int:
-            return y * width + x
-
-        def edge_of(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[str, int]:
-            if a[1] == b[1]:
-                return "h", h_index(min(a[0], b[0]), a[1])
-            return "v", v_index(a[0], min(a[1], b[1]))
+        # Each cell's four moves in search order (+x, -x, +y, -y) as
+        # (x, y, cell, edge, address of the edge's usage entry); a move off
+        # the grid lies outside every window.  Vertical usage entries sit
+        # in their own half of the address region.
+        h_addr = 1 << 26
+        v_addr = h_addr + (1 << 25)
+        neighbours = []
+        for y in range(height):
+            for x in range(width):
+                cell = y * width + x
+                right = y * (width - 1) + x
+                down = num_h + cell
+                up = cell - width
+                neighbours.append(
+                    (
+                        (x + 1, y, cell + 1, right, h_addr + right * 4),
+                        (x - 1, y, cell - 1, right - 1, h_addr + (right - 1) * 4),
+                        (x, y + 1, cell + width, down, v_addr + cell * 4),
+                        (x, y - 1, up, down - width, v_addr + up * 4),
+                    )
+                )
 
         # ---- per-segment A* maze search --------------------------------
         rng = random.Random(self.seed)
@@ -183,14 +205,6 @@ class GlobalRouter:
         heuristic_weight = 1.6
 
         pres_fac = overflow_penalty
-
-        def edge_cost(kind: str, idx: int) -> float:
-            if kind == "h":
-                usage, hist = h_usage[idx], h_hist[idx]
-            else:
-                usage, hist = v_usage[idx], v_hist[idx]
-            over = max(0, usage + 1 - capacity)
-            return 1.0 + hist + pres_fac * over
 
         def route_segment(
             seg: RouteSegment, margin: int, collect_events: bool
@@ -202,55 +216,56 @@ class GlobalRouter:
             x_hi = min(width - 1, max(sx, tx) + margin)
             y_lo = max(0, min(sy, ty) - margin)
             y_hi = min(height - 1, max(sy, ty) + margin)
-            best_cost: Dict[Tuple[int, int], float] = {(sx, sy): 0.0}
-            parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            heap: List[Tuple[float, int, Tuple[int, int]]] = [
-                (heuristic_weight * (abs(sx - tx) + abs(sy - ty)), 0, (sx, sy))
+            source = sy * width + sx
+            target = ty * width + tx
+            costs = edge_cost
+            best_cost: Dict[int, float] = {source: 0.0}
+            parent: Dict[int, int] = {}
+            heap: List[Tuple[float, int, int]] = [
+                (heuristic_weight * (abs(sx - tx) + abs(sy - ty)), 0, source)
             ]
             counter = 0
             expansions = 0
             branches: List[bool] = []
             addrs: List[int] = []
+            record_branch = branches.append
+            record_addr = addrs.append
             # Per-net scratch structures (visited map, parents, heap) live
             # in a cold region cycled across nets.
             scratch = (2 << 26) + ((zlib.crc32(seg.net.encode()) & 63) << 19)
             found = False
             while heap:
-                _f, _tie, cell = heapq.heappop(heap)
+                _f, _tie, cell = heappop(heap)
                 expansions += 1
                 if collect_events:
-                    addrs.append((cell[1] * width + cell[0]) * 16)
-                    addrs.append(scratch + expansions * 16)
-                if cell == (tx, ty):
+                    record_addr(cell * 16)
+                    record_addr(scratch + expansions * 16)
+                if cell == target:
                     found = True
                     break
-                cx, cy = cell
                 base = best_cost[cell]
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+                for nx, ny, nxt, edge, edge_addr in neighbours[cell]:
                     in_window = x_lo <= nx <= x_hi and y_lo <= ny <= y_hi
                     if collect_events:
-                        branches.append(in_window)
+                        record_branch(in_window)
                     if not in_window:
                         continue
-                    kind, idx = edge_of((cx, cy), (nx, ny))
-                    cost = base + edge_cost(kind, idx)
-                    better = cost < best_cost.get((nx, ny), float("inf"))
+                    cost = base + costs[edge]
+                    better = cost < best_cost.get(nxt, inf)
                     if collect_events:
-                        branches.append(better)
-                        addrs.append(
-                            (1 << 26) + idx * 4 + (0 if kind == "h" else (1 << 25))
-                        )
+                        record_branch(better)
+                        record_addr(edge_addr)
                     if better:
-                        best_cost[(nx, ny)] = cost
-                        parent[(nx, ny)] = (cx, cy)
+                        best_cost[nxt] = cost
+                        parent[nxt] = cell
                         counter += 1
-                        heapq.heappush(
+                        heappush(
                             heap,
                             (
                                 cost
                                 + heuristic_weight * (abs(nx - tx) + abs(ny - ty)),
                                 counter,
-                                (nx, ny),
+                                nxt,
                             ),
                         )
             if collect_events:
@@ -259,20 +274,12 @@ class GlobalRouter:
                 branches.append(False)
             if not found:
                 return expansions, branches, addrs
-            path = [(tx, ty)]
-            while path[-1] != (sx, sy):
+            path = [target]
+            while path[-1] != source:
                 path.append(parent[path[-1]])
             path.reverse()
-            seg.path = path
+            seg.path = [(c % width, c // width) for c in path]
             return expansions, branches, addrs
-
-        def commit(seg: RouteSegment, sign: int) -> None:
-            for a, b in zip(seg.path, seg.path[1:]):
-                kind, idx = edge_of(a, b)
-                if kind == "h":
-                    h_usage[idx] += sign
-                else:
-                    v_usage[idx] += sign
 
         # ---- wave batching over disjoint search windows -------------------
         # Nets whose inflated search windows do not overlap route
@@ -318,7 +325,7 @@ class GlobalRouter:
             for seg in ordered:
                 cells = window_cells(seg, margin)
                 for wave_idx in range(len(waves)):
-                    if not (occupancy[wave_idx] & cells):
+                    if occupancy[wave_idx].isdisjoint(cells):
                         waves[wave_idx].append(seg)
                         occupancy[wave_idx] |= cells
                         break
@@ -328,20 +335,23 @@ class GlobalRouter:
             return waves
 
         # Per-edge committed users, for targeted rip-up.
-        edge_users: Dict[Tuple[str, int], List[RouteSegment]] = {}
+        edge_users: Dict[int, List[RouteSegment]] = {}
 
         def commit(seg: RouteSegment, sign: int) -> None:
-            for a, b in zip(seg.path, seg.path[1:]):
-                key = edge_of(a, b)
-                kind, idx = key
-                if kind == "h":
-                    h_usage[idx] += sign
+            for (ax, ay), (bx, by) in zip(seg.path, seg.path[1:]):
+                if ay == by:
+                    edge = ay * (width - 1) + min(ax, bx)
                 else:
-                    v_usage[idx] += sign
+                    edge = num_h + min(ay, by) * width + ax
+                used = usage[edge] + sign
+                usage[edge] = used
+                edge_cost[edge] = base_cost[edge] + pres_fac * max(
+                    0, used + 1 - capacity
+                )
                 if sign > 0:
-                    edge_users.setdefault(key, []).append(seg)
+                    edge_users.setdefault(edge, []).append(seg)
                 else:
-                    users = edge_users.get(key)
+                    users = edge_users.get(edge)
                     if users and seg in users:
                         users.remove(seg)
 
@@ -366,11 +376,16 @@ class GlobalRouter:
 
         last_task: Dict[int, int] = {}
         iteration_barrier: Optional[int] = None
-        prev_overflow = float("inf")
+        prev_overflow = inf
         tracer = get_tracer()
         for iteration in range(1, self.max_iterations + 1):
             margin = self.bbox_margin + min(2, iteration - 1)
             pres_fac = overflow_penalty * iteration
+            base = 1.0 + hist
+            base_cost[:] = base.tolist()
+            edge_cost[:] = (
+                base + pres_fac * np.maximum(0, np.array(usage) + 1 - capacity)
+            ).tolist()
             waves = build_waves(to_route, margin)
             commit_work = 0.0
             counters_before = inst.snapshot()
@@ -456,8 +471,9 @@ class GlobalRouter:
                             extra = (
                                 (len(stream) // 12) * (inst.concurrency - 1) // 7
                             )
-                            pool = len(h_usage) + len(v_usage)
-                            coh = rng.sample(range(pool), min(extra, pool))
+                            coh = rng.sample(
+                                range(num_edges), min(extra, num_edges)
+                            )
                             stream.extend((3 << 26) + i * 64 for i in coh)
                         inst.mem(stream, reads_per_element=event_stride)
                 it_span.set_tags(
@@ -476,12 +492,9 @@ class GlobalRouter:
 
             # Overflow accounting and targeted rip-up: per overflowed edge,
             # rip exactly the excess users (shortest detours first).
-            over_h = h_usage > capacity
-            over_v = v_usage > capacity
-            overflow = int(
-                np.sum(np.maximum(0, h_usage - capacity))
-                + np.sum(np.maximum(0, v_usage - capacity))
-            )
+            used = np.array(usage)
+            over = used > capacity
+            overflow = int(np.sum(np.maximum(0, used - capacity)))
             it_span.set_tag("overflow", overflow)
             if overflow == 0 or iteration == self.max_iterations:
                 break
@@ -490,19 +503,14 @@ class GlobalRouter:
                 # further rip-up would thrash without converging.
                 break
             prev_overflow = overflow
-            h_hist[over_h] += 2.0
-            v_hist[over_v] += 2.0
+            hist[over] += 2.0
             victims: List[RouteSegment] = []
             victim_ids = set()
             ripup_branches: List[bool] = []
-            over_edges = [("h", int(i)) for i in np.nonzero(over_h)[0]]
-            over_edges += [("v", int(i)) for i in np.nonzero(over_v)[0]]
-            for key in over_edges:
-                kind, idx = key
-                usage = int(h_usage[idx] if kind == "h" else v_usage[idx])
-                excess = usage - capacity
+            for edge in np.nonzero(over)[0].tolist():
+                excess = usage[edge] - capacity
                 users = [
-                    u for u in edge_users.get(key, []) if id(u) not in victim_ids
+                    u for u in edge_users.get(edge, []) if id(u) not in victim_ids
                 ]
                 users.sort(key=lambda s_: s_.wirelength)
                 for u in users:
@@ -523,10 +531,7 @@ class GlobalRouter:
                 ripups += 1
             to_route = victims
 
-        overflow = int(
-            np.sum(np.maximum(0, h_usage - capacity))
-            + np.sum(np.maximum(0, v_usage - capacity))
-        )
+        overflow = int(np.sum(np.maximum(0, np.array(usage) - capacity)))
         total_wl = sum(seg.wirelength for seg in segments)
         result = RoutingResult(
             grid_width=width,

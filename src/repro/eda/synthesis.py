@@ -317,17 +317,30 @@ class TechnologyMapper:
     def __init__(self, library: Optional[Library] = None):
         self.library = library if library is not None else nangate_lite()
         self._inv_area = self.library.cell("INV_X1").area
+        #: ``_match`` results by ``(table, nvars)``: a pure function of the
+        #: key for a fixed library.
+        self._matches: Dict[Tuple[int, int], Optional[tuple]] = {}
 
     # -- boolean matching ------------------------------------------------
     def _match(self, table: int, nvars: int, stats: MappingStats):
-        """NPN-lite match: try all input-negation subsets, pick cheapest."""
+        """NPN-lite match: try all input-negation subsets, pick cheapest.
+
+        ``match_lookups`` counts the ``1 << nvars`` library lookups the
+        match stands for, memoized or not: the work model reads it.
+        """
+        stats.match_lookups += 1 << nvars
+        key = (table, nvars)
+        if key not in self._matches:
+            self._matches[key] = self._best_match(table, nvars)
+        return self._matches[key]
+
+    def _best_match(self, table: int, nvars: int):
         best = None
         for neg in range(1 << nvars):
             t = table
             for j in range(nvars):
                 if (neg >> j) & 1:
                     t = flip_var(t, j, nvars)
-            stats.match_lookups += 1
             m = self.library.best_match(t, nvars)
             if m is None:
                 continue

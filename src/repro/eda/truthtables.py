@@ -9,6 +9,7 @@ pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -39,11 +40,17 @@ _VAR_MASKS = [
 MAX_VARS = 6
 
 
+#: ``full_mask`` by variable count; a lookup, since the cut enumerator and
+#: the mapper ask for it hundreds of thousands of times per flow.
+_FULL_MASKS = {n: (1 << (1 << n)) - 1 for n in range(MAX_VARS + 1)}
+
+
 def full_mask(nvars: int) -> int:
     """All-ones truth table over ``nvars`` variables."""
-    if not 0 <= nvars <= MAX_VARS:
-        raise ValueError(f"nvars must be in [0, {MAX_VARS}]")
-    return (1 << (1 << nvars)) - 1
+    try:
+        return _FULL_MASKS[nvars]
+    except KeyError:
+        raise ValueError(f"nvars must be in [0, {MAX_VARS}]") from None
 
 
 def var_table(var: int, nvars: int) -> int:
@@ -97,16 +104,29 @@ def expand_table(
     function's original variable ``j``.  Used when merging cuts: each fanin
     cut's function is lifted onto the union leaf set.
     """
-    old_n = len(old_vars)
     out = 0
+    for old_minterm, mask in enumerate(_minterm_masks(tuple(old_vars), new_nvars)):
+        if (table >> old_minterm) & 1:
+            out |= mask
+    return out
+
+
+@lru_cache(maxsize=None)
+def _minterm_masks(old_vars: Tuple[int, ...], new_nvars: int) -> Tuple[int, ...]:
+    """For each old minterm, the set of new minterms that project onto it.
+
+    A pure function of its key, so the table is built once per placement
+    of old variables and every later lift just ORs the masks of the old
+    minterms the function is true on.
+    """
+    masks = [0] * (1 << len(old_vars))
     for new_minterm in range(1 << new_nvars):
         old_minterm = 0
         for j, pos in enumerate(old_vars):
             if (new_minterm >> pos) & 1:
                 old_minterm |= 1 << j
-        if (table >> old_minterm) & 1:
-            out |= 1 << new_minterm
-    return out
+        masks[old_minterm] |= 1 << new_minterm
+    return tuple(masks)
 
 
 #: A product term: (care_mask, value_mask).  Variable ``j`` appears in the

@@ -10,9 +10,8 @@ paper invokes to explain placement's falling miss rate at 8 vCPUs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = ["CacheConfig", "CacheLevel", "CacheHierarchy", "hierarchy_for_vcpus"]
 
@@ -41,27 +40,34 @@ class CacheConfig:
 
 
 class CacheLevel:
-    """One LRU set-associative cache level."""
+    """One LRU set-associative cache level.
+
+    Each set is a list of resident line numbers, least recently used
+    first.
+    """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets = [OrderedDict() for _ in range(config.num_sets)]
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._ways = config.associativity
+        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns ``True`` on hit."""
-        line = address // self.config.line_bytes
-        index = line % self.config.num_sets
-        cache_set = self._sets[index]
+        line = address // self._line_bytes
+        cache_set = self._sets[line % self._num_sets]
         if line in cache_set:
-            cache_set.move_to_end(line)
+            cache_set.remove(line)
+            cache_set.append(line)
             self.hits += 1
             return True
         self.misses += 1
-        cache_set[line] = True
-        if len(cache_set) > self.config.associativity:
-            cache_set.popitem(last=False)
+        cache_set.append(line)
+        if len(cache_set) > self._ways:
+            del cache_set[0]
         return False
 
     def reset_stats(self) -> None:
@@ -94,12 +100,48 @@ class CacheHierarchy:
         return False, self.llc.access(address)
 
     def access_stream(self, addresses: Iterable[int]) -> None:
-        """Process a whole address stream (counters accumulate internally)."""
-        l1_access = self.l1.access
-        llc_access = self.llc.access
+        """Process a whole address stream (counters accumulate internally).
+
+        The same replacement as :meth:`CacheLevel.access` on both levels,
+        inlined: this loop is the perf simulator's hot spot.
+        """
+        l1, llc = self.l1, self.llc
+        l1_sets, l1_bytes, l1_num, l1_ways = (
+            l1._sets, l1._line_bytes, l1._num_sets, l1._ways
+        )
+        llc_sets, llc_bytes, llc_num, llc_ways = (
+            llc._sets, llc._line_bytes, llc._num_sets, llc._ways
+        )
+        l1_hits = l1_misses = llc_hits = llc_misses = 0
         for addr in addresses:
-            if not l1_access(addr):
-                llc_access(addr)
+            line = addr // l1_bytes
+            cache_set = l1_sets[line % l1_num]
+            if line in cache_set:
+                if cache_set[-1] != line:
+                    cache_set.remove(line)
+                    cache_set.append(line)
+                l1_hits += 1
+                continue
+            l1_misses += 1
+            cache_set.append(line)
+            if len(cache_set) > l1_ways:
+                del cache_set[0]
+            line = addr // llc_bytes
+            cache_set = llc_sets[line % llc_num]
+            if line in cache_set:
+                if cache_set[-1] != line:
+                    cache_set.remove(line)
+                    cache_set.append(line)
+                llc_hits += 1
+                continue
+            llc_misses += 1
+            cache_set.append(line)
+            if len(cache_set) > llc_ways:
+                del cache_set[0]
+        l1.hits += l1_hits
+        l1.misses += l1_misses
+        llc.hits += llc_hits
+        llc.misses += llc_misses
 
     def reset_stats(self) -> None:
         self.l1.reset_stats()

@@ -125,7 +125,7 @@ class Instrument(NullInstrument):
         l1_misses_before = self.cache.l1.misses
         llc_hits_before = self.cache.llc.hits
         llc_misses_before = self.cache.llc.misses
-        self.cache.access_stream(int(a) for a in sampled)
+        self.cache.access_stream(sampled)
         scale = (n * reads_per_element) / max(1, len(sampled))
         c = self._counters
         c.mem_accesses += n * reads_per_element
@@ -148,7 +148,7 @@ class Instrument(NullInstrument):
             return
         stride = self.sample_rate
         sampled = outcomes[::stride] if stride > 1 else outcomes
-        misses = self.predictor.process([site] * len(sampled), [bool(o) for o in sampled])
+        misses = self.predictor.process([site] * len(sampled), sampled)
         scale = (n * weight) / len(sampled)
         c = self._counters
         c.branches += n * weight

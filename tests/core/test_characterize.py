@@ -1,5 +1,9 @@
 """Tests for the characterization pipeline (Problem 1 / Figure 2)."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.cloud import InstanceFamily
@@ -121,3 +125,38 @@ class TestLiveCharacterization:
         assert all(
             runtimes[s][1] > runtimes[s][8] > 0 for s in EDAStage.ordered()
         )
+
+
+#: sha256 of :func:`_characterization_digest_doc` for ``sparc_core`` at scale
+#: 0.2, ``sample_rate=4``, vCPU levels 1/2/4/8.  Any change to a perf counter,
+#: modelled runtime or family recommendation moves it; an engine speed-up
+#: must not.
+CHARACTERIZATION_PIN = (
+    "488fd166faa80c69bdcb2eaad9c15b3feceddb22f304e3a96f99b0cd243485ef"
+)
+
+
+def _characterization_digest_doc(report):
+    return {
+        "stages": {
+            stage.value: {
+                "counters": {
+                    str(v): asdict(c) for v, c in sorted(char.counters.items())
+                },
+                "runtimes": {str(v): t for v, t in sorted(char.runtimes.items())},
+            }
+            for stage, char in report.stages.items()
+        },
+        "families": {
+            stage.value: family.value
+            for stage, family in report.recommended_families().items()
+        },
+    }
+
+
+def test_characterization_is_bit_identical_to_the_pin():
+    report = characterize(
+        "sparc_core", scale=0.2, vcpu_levels=(1, 2, 4, 8), sample_rate=4
+    )
+    doc = json.dumps(_characterization_digest_doc(report), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CHARACTERIZATION_PIN

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.eda.job import EDAStage
-from repro.eda.placement import PlacementEngine
-from repro.eda.routing import GlobalRouter, _interleave
+from repro.eda.placement import Placement, PlacementEngine
+from repro.eda.routing import GlobalRouter, RouteSegment, _interleave
 from repro.eda.synthesis import SynthesisEngine
 from repro.netlist import benchmarks
+from repro.netlist.cells import nangate_lite
+from repro.netlist.netlist import Netlist
 from repro.perf import make_instrument
 
 
@@ -128,3 +130,56 @@ class TestInterleave:
 
     def test_empty_streams(self):
         assert _interleave([], 4) == []
+
+
+class TestRipUpIdentity:
+    """Rip-up bookkeeping tracks segments by identity, not by value."""
+
+    @pytest.fixture(scope="class")
+    def twin_sinks(self):
+        """A net whose two sinks share a gcell, so its two segments have
+        the same source and target (and, in the first iteration, the same
+        path), on a row crowded enough that rip-up must run."""
+        net = Netlist("twin_sinks", nangate_lite())
+        net.add_input_port("a")
+        positions = {}
+        for i in range(6):
+            net.add_instance(f"d{i}", "INV_X1", {"A": "a", "Y": f"n{i}"})
+            net.add_instance(f"s{i}", "INV_X1", {"A": f"n{i}", "Y": f"o{i}"})
+            positions[f"d{i}"] = (0.5, 0.5 + 0.1 * i)
+            positions[f"s{i}"] = (6.5, 0.5 + 0.1 * i)
+        net.add_instance("twin", "INV_X1", {"A": "n0", "Y": "t"})
+        positions["twin"] = (6.9, 0.9)
+        placement = Placement(
+            netlist=net,
+            positions=positions,
+            port_positions={"a": (0.0, 0.0)},
+            die_width=9.0,
+            die_height=9.0,
+        )
+        # A zero margin confines the first iteration to the crowded row.
+        return GlobalRouter(capacity=2, bbox_margin=0, max_iterations=4).run(placement)
+
+    def test_rip_up_removes_the_ripped_object(self, twin_sinks):
+        twins = [s for s in twin_sinks.artifact.segments if s.net == "n0"]
+        assert len(twins) == 2
+        a, b = twins
+        assert (a.source, a.target) == (b.source, b.target)
+        # A field-for-field twin routed first: removing ``a`` from an
+        # edge's user list must leave the twin, not remove it instead.
+        twin = RouteSegment(
+            net=a.net, source=a.source, target=a.target, path=list(a.path)
+        )
+        users = [twin, a]
+        users.remove(a)
+        assert len(users) == 1 and users[0] is twin
+
+    def test_ripped_usage_matches_final_paths(self, twin_sinks):
+        assert twin_sinks.metrics["ripups"] > 0
+        r = twin_sinks.artifact
+        usage = {}
+        for seg in r.segments:
+            for a, b in zip(seg.path, seg.path[1:]):
+                edge = (min(a, b), max(a, b))
+                usage[edge] = usage.get(edge, 0) + 1
+        assert r.overflow == sum(max(0, u - 2) for u in usage.values())

@@ -1,5 +1,8 @@
 """Property tests for the truth-table algebra and ISOP."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,3 +131,49 @@ class TestISOP:
     def test_cube_cover_of_literal(self):
         # cube: x1 (care bit 1, value bit 1) over 2 vars
         assert cube_cover([(0b10, 0b10)], 2) == var_table(1, 2)
+
+
+def _expand_table_reference(table, old_vars, new_nvars):
+    """The original per-minterm lifting loop, kept here as the oracle for
+    the memoized mask-table implementation."""
+    out = 0
+    for new_minterm in range(1 << new_nvars):
+        old_minterm = 0
+        for j, pos in enumerate(old_vars):
+            if (new_minterm >> pos) & 1:
+                old_minterm |= 1 << j
+        if (table >> old_minterm) & 1:
+            out |= 1 << new_minterm
+    return out
+
+
+class TestExpandTableDifferential:
+    """``expand_table`` equals the per-minterm loop on every placement of
+    up to four old variables into up to six new ones."""
+
+    @staticmethod
+    def check(tables, placement, n_new):
+        for table in tables:
+            assert expand_table(table, placement, n_new) == (
+                _expand_table_reference(table, placement, n_new)
+            ), (table, placement, n_new)
+
+    @pytest.mark.parametrize("n_old", [0, 1, 2, 3])
+    def test_every_table_of_up_to_three_vars(self, n_old):
+        """All tables on every increasing placement (the ones cut merging
+        produces) and, for up to two variables, on every placement; other
+        three-variable placements get a seeded sample of tables."""
+        every_table = range(1 << (1 << n_old))
+        rng = random.Random(n_old)
+        for n_new in range(n_old, 7):
+            for placement in itertools.permutations(range(n_new), n_old):
+                if n_old < 3 or list(placement) == sorted(placement):
+                    self.check(every_table, placement, n_new)
+                else:
+                    self.check(rng.sample(every_table, 16), placement, n_new)
+
+    def test_seeded_sample_of_four_var_tables(self):
+        rng = random.Random(0)
+        for n_new in range(4, 7):
+            for placement in itertools.permutations(range(n_new), 4):
+                self.check(rng.sample(range(1 << 16), 4), list(placement), n_new)

@@ -1,5 +1,7 @@
 """Tests for the cache hierarchy simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,3 +114,33 @@ class TestHierarchy:
         h1.access_stream(addresses)
         h8.access_stream(addresses)
         assert h8.llc.misses < h1.llc.misses
+
+
+class TestAccessStreamDifferential:
+    """``access_stream`` is exactly a per-address replay through
+    :meth:`CacheLevel.access`: same hits, misses and final set contents."""
+
+    @staticmethod
+    def replay(h, addresses):
+        for addr in addresses:
+            if not h.l1.access(addr):
+                h.llc.access(addr)
+
+    @pytest.mark.parametrize("vcpus", [1, 2, 4, 8])
+    def test_matches_per_access_replay(self, vcpus):
+        rng = random.Random(vcpus)
+        llc_bytes = hierarchy_for_vcpus(vcpus).llc.config.size_bytes
+        streamed, replayed = hierarchy_for_vcpus(vcpus), hierarchy_for_vcpus(vcpus)
+        for _ in range(4):
+            # A hot window reused often plus a cold span around the LLC
+            # size: hits and evictions at both levels.
+            hot = [rng.randrange(4096) for _ in range(2000)]
+            cold = [rng.randrange(2 * llc_bytes) for _ in range(3000)]
+            stream = hot + cold
+            rng.shuffle(stream)
+            streamed.access_stream(stream)
+            self.replay(replayed, stream)
+            assert streamed.stats == replayed.stats
+        for a, b in ((streamed.l1, replayed.l1), (streamed.llc, replayed.llc)):
+            assert a._sets == b._sets
+        assert streamed.llc.misses > 0 and streamed.l1.hits > 0
