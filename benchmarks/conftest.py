@@ -5,9 +5,11 @@ once per session and shared across the per-figure benchmarks.  Scale knobs
 come from the environment so a "paper-sized" run is one variable away:
 
 * ``REPRO_BENCH_SCALE``      — characterization design scale (default 1.5)
-* ``REPRO_BENCH_SAMPLE_RATE``— PMU sampling stride (default 4)
+* ``REPRO_BENCH_SAMPLE_RATE``— PMU sampling stride (default 2)
 * ``REPRO_FIG5_VARIANTS``    — netlist variants per design (default 6;
   the paper's dataset corresponds to ~18)
+* ``REPRO_FIG5_SCALE``       — design scale of the GCN dataset netlists
+  (default 0.45)
 * ``REPRO_FIG5_EPOCHS``      — GCN training epochs (default 60; paper 200)
 """
 

@@ -25,10 +25,6 @@ Exposes the paper's workflow as terminal commands:
 * ``repro trace``        — run a workload (flow or plan execution) under
   the observability tracer and print/export the hierarchical span tree
   (text, JSON, or Chrome ``chrome://tracing`` format) plus metrics.
-* ``repro bench``        — run the fixed-seed bench workload matrix,
-  write ``benchmarks/BENCH_<rev>.json``, append the run to the telemetry
-  store, and optionally compare against a baseline file (non-zero exit
-  on regression beyond the tolerance).
 * ``repro profile``      — run a workload under the tracer and print the
   per-frame *self-time* profile; export folded stacks (flamegraph
   input), a self-contained HTML flame view, or the profile JSON; or
@@ -62,9 +58,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .cloud.faults import PROFILES as FAULT_PROFILES
+from .cloud.instance import InstanceFamily, VMConfig
+from .cloud.provisioner import DeploymentPlan
 from .core.characterize import characterize
 from .core.optimize import (
     build_stage_options,
@@ -304,57 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--chrome", default=None, metavar="FILE",
         help="write a chrome://tracing trace-event file here",
-    )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the fixed-seed bench matrix and write BENCH_<rev>.json",
-    )
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--design", default="ctrl")
-    p_bench.add_argument("--scale", type=float, default=0.3)
-    p_bench.add_argument("--epochs", type=int, default=3)
-    p_bench.add_argument(
-        "--out", default="benchmarks", metavar="DIR",
-        help="directory to write BENCH_<rev>.json into (default: benchmarks)",
-    )
-    p_bench.add_argument(
-        "--rev", default=None, help="revision label (default: git short rev)"
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare timings against this bench file",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=25.0, metavar="PCT",
-        help="allowed slowdown vs the baseline in percent (default: 25)",
-    )
-    p_bench.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="telemetry store to append the run to "
-        "(default: benchmarks/runs/runs.jsonl)",
-    )
-    p_bench.add_argument(
-        "--no-store", action="store_true",
-        help="do not append the run to the telemetry store",
-    )
-    p_bench.add_argument(
-        "--timestamp", default=None, metavar="ISO8601",
-        help="UTC timestamp recorded with the run (default: now; library "
-        "code never reads the clock)",
-    )
-    p_bench.add_argument(
-        "--sweep", action="store_true",
-        help="also run the service concurrency sweep and record the "
-        "throughput knee in the bench document",
-    )
-    p_bench.add_argument(
-        "--sweep-jobs", type=int, default=8, metavar="N",
-        help="jobs offered per sweep level (default: 8)",
-    )
-    p_bench.add_argument(
-        "--sweep-levels", type=int, nargs="+", default=None, metavar="W",
-        help="worker counts to sweep (default: 1 2 4 8 16)",
     )
 
     p_prof = sub.add_parser(
@@ -816,6 +763,19 @@ def _cmd_execute(args) -> int:
     return 0 if result.completed else 1
 
 
+def _record_timestamp(args) -> str:
+    """``--timestamp``, else the current UTC time.
+
+    The one wall-clock read behind persisted run records: it happens
+    here, at the CLI boundary, so library code stays replayable.
+    """
+    if args.timestamp:
+        return args.timestamp
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def _cmd_chaos_scenario(args) -> int:
     from .chaos import (
         SCENARIOS,
@@ -854,14 +814,9 @@ def _cmd_chaos_scenario(args) -> int:
                 handle.write(result.trace_dump())
         print(f"trace dump written to {args.trace_out}")
     if args.store:
-        from datetime import datetime, timezone
+        from .obs.store import RunStore, git_rev
 
-        from .obs.bench import git_rev
-        from .obs.store import RunStore
-
-        timestamp = args.timestamp or datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
+        timestamp = _record_timestamp(args)
         rev = args.rev or git_rev()
         store = RunStore(args.store)
         for result in results:
@@ -923,6 +878,29 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok and not violations else 1
 
 
+def _bench_plan(runtimes: Dict[EDAStage, float]) -> DeploymentPlan:
+    """A fixed mixed spot/on-demand plan over the measured flow runtimes."""
+    spot = VMConfig(
+        name="gp.4x.spot",
+        family=InstanceFamily.GENERAL_PURPOSE,
+        vcpus=4,
+        memory_gb=16.0,
+        price_per_hour=0.06,
+    )
+    on_demand = VMConfig(
+        name="gp.4x",
+        family=InstanceFamily.GENERAL_PURPOSE,
+        vcpus=4,
+        memory_gb=16.0,
+        price_per_hour=0.20,
+    )
+    plan = DeploymentPlan(design="bench")
+    for stage in EDAStage.ordered():
+        vm = spot if stage in (EDAStage.SYNTHESIS, EDAStage.ROUTING) else on_demand
+        plan.add(stage, vm, max(1.0, runtimes[stage]))
+    return plan
+
+
 def _run_traced_workload(
     workload: str,
     design: str,
@@ -947,7 +925,6 @@ def _run_traced_workload(
         runner.run(aig, seed=seed, instruments=instruments)
     else:
         from .cloud.executor import ExecutionPolicy, PlanExecutor
-        from .obs.bench import _bench_plan
 
         runner = FlowRunner(seed=seed)
         aig = benchmarks.build(design, scale)
@@ -1000,96 +977,6 @@ def _cmd_trace(args) -> int:
         with open(args.chrome, "w") as handle:
             _json.dump(to_chrome_trace(tracer.spans), handle, sort_keys=True)
         print(f"chrome trace written to {args.chrome}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json as _json
-
-    from .obs.bench import (
-        compare_bench,
-        run_bench,
-        validate_bench,
-        write_bench,
-    )
-
-    doc = run_bench(
-        seed=args.seed,
-        design=args.design,
-        scale=args.scale,
-        epochs=args.epochs,
-        rev=args.rev,
-    )
-    if args.sweep:
-        import time as _time
-
-        from .service.sweep import DEFAULT_LEVELS, run_sweep
-
-        levels = tuple(args.sweep_levels) if args.sweep_levels else DEFAULT_LEVELS
-        started = _time.perf_counter()
-        sweep_doc = run_sweep(
-            seed=args.seed, jobs=args.sweep_jobs, levels=levels
-        )
-        doc["sweep"] = sweep_doc
-        doc["workloads"]["service"] = _time.perf_counter() - started
-        gauges = doc["metrics"]["gauges"]
-        for level, throughput in sweep_doc["throughput"].items():
-            gauges[f"service.sweep.throughput.{level}w"] = throughput
-        knee = sweep_doc["knee"]
-        if knee is not None:
-            gauges["service.sweep.knee_workers"] = knee["x"]
-            print(
-                f"  service sweep: knee at {knee['x']:.0f} workers "
-                f"({knee['y']:.4f} jobs/s simulated)"
-            )
-        else:
-            print("  service sweep: no knee detected")
-    problems = validate_bench(doc)
-    if problems:
-        for problem in problems:
-            print(f"invalid bench document: {problem}", file=sys.stderr)
-        return 2
-    path = write_bench(doc, args.out)
-    for name, wall in doc["workloads"].items():
-        print(f"  {name:<10} {wall:8.3f}s wall")
-    print(f"bench written to {path}")
-    if not args.no_store:
-        from datetime import datetime, timezone
-
-        from .obs.store import DEFAULT_STORE_PATH, RunStore, bench_to_run
-
-        # The timestamp is taken exactly once, at the CLI boundary —
-        # store and bench internals never read the wall clock.
-        timestamp = args.timestamp or datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
-        store = RunStore(args.store or DEFAULT_STORE_PATH)
-        store.append(bench_to_run(doc, timestamp))
-        print(f"run appended to {store.path}")
-    if args.baseline is None:
-        return 0
-    try:
-        with open(args.baseline) as handle:
-            baseline = _json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
-    regressions, notes = compare_bench(
-        doc, baseline, tolerance_pct=args.tolerance
-    )
-    for note in notes:
-        print(f"  note: {note}")
-    if regressions:
-        print(
-            f"REGRESSION vs {args.baseline} "
-            f"(tolerance {args.tolerance:.0f}%):"
-        )
-        for regression in regressions:
-            print(f"  {regression}")
-        return 1
-    print(
-        f"no regression vs {args.baseline} (tolerance {args.tolerance:.0f}%)"
-    )
     return 0
 
 
@@ -1271,7 +1158,7 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .obs.bench import git_rev
+    from .obs.store import git_rev
     from .service import (
         ServiceConfig,
         run_session,
@@ -1322,15 +1209,9 @@ def _cmd_serve(args) -> int:
                 handle.write(line + "\n")
         print(f"completion log written to {args.log}")
     if not args.no_store:
-        from datetime import datetime, timezone
-
         from .obs.store import DEFAULT_STORE_PATH, RunStore
 
-        # One wall-clock read at the CLI boundary; the service itself
-        # never touches real time.
-        timestamp = args.timestamp or datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
+        timestamp = _record_timestamp(args)
         store = RunStore(args.store or DEFAULT_STORE_PATH)
         for record in service.records(timestamp):
             store.append(record)
@@ -1500,7 +1381,6 @@ _COMMANDS = {
     "execute": _cmd_execute,
     "chaos": _cmd_chaos,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "profile": _cmd_profile,
     "report": _cmd_report,
     "slo": _cmd_slo,

@@ -1,6 +1,6 @@
 """Environment-variable parsing with actionable error messages.
 
-The bench/benchmark scale knobs (``REPRO_BENCH_*``, ``REPRO_FIG5_*``)
+The benchmark suite's scale knobs (listed in ``benchmarks/conftest.py``)
 come from the environment; a bare ``float(os.environ[...])`` turns a
 typo'd value into a context-free ``ValueError: could not convert string
 to float: 'fast'`` with no hint of *which* variable was malformed.

@@ -15,7 +15,7 @@ executor seeds derive from ``crc32(seed, flow_id)`` — so the same
 ``(fleet, seed, ticks)`` replays byte-for-byte (:meth:`SessionReport.dump`).
 
 :func:`synthetic_fleet` mints the seeded menu/flow populations that the
-bench, the CLI, the service runner, and the tests all share.
+benchmark, the CLI, the service runner, and the tests all share.
 """
 
 from __future__ import annotations

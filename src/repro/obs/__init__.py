@@ -1,4 +1,4 @@
-"""Observability: hierarchical spans, metrics, exporters, bench harness.
+"""Observability: spans, metrics, exporters, profiler, run store, SLOs.
 
 The measurement substrate for the reproduction — the paper's whole
 pipeline is built on *measuring* EDA workloads, and this package applies
@@ -10,8 +10,6 @@ the same discipline to our own hot paths:
   histograms with snapshot, reset and merge,
 * :mod:`repro.obs.export`  — JSON, Chrome trace-event, and text-tree
   exporters,
-* :mod:`repro.obs.bench`   — the ``repro bench`` fixed-seed workload
-  matrix and ``BENCH_<rev>.json`` regression comparison,
 * :mod:`repro.obs.log`     — structured span-correlated log records, the
   bounded ring-buffer flight recorder, and replayable crash dumps,
 * :mod:`repro.obs.profile` — the deterministic self-time profiler over
@@ -30,8 +28,8 @@ the same discipline to our own hot paths:
 The global tracer and logger start **disabled** (instrumented code pays
 one attribute check), the global metric registry is always on
 (dict-lookup cheap).  :func:`scoped` swaps any of the three for the
-duration of a ``with`` block, which is how the CLI commands, the bench
-harness, and the tests isolate their telemetry.
+duration of a ``with`` block, which is how the CLI commands, the
+benchmark harness, and the tests isolate their telemetry.
 """
 
 from contextlib import contextmanager

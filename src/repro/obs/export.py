@@ -5,8 +5,8 @@ Three views of the same span list:
 * :func:`span_tree` / :func:`to_json_doc` — a nested JSON document (the
   ``repro-trace/1`` schema) with full timing, tags and instant events,
 * :func:`structural_tree` — the *shape only* (names, nesting, sorted tag
-  keys, event names), which is what the golden-trace tests and the bench
-  determinism check compare — timings never leak in,
+  keys, event names), which is what the golden-trace tests compare —
+  timings never leak in,
 * :func:`to_chrome_trace` — the Chrome ``chrome://tracing`` /  Perfetto
   trace-event format (``ph: "X"`` complete events in microseconds, with
   ``ph: "i"`` instants), loadable straight into the browser,

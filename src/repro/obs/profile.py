@@ -1,7 +1,7 @@
 """Deterministic profiler: per-frame self-time over the span tree.
 
-The bench harness can say *that* a workload regressed; this module says
-*which frame* regressed.  Three layers:
+A wall-clock total can say *that* a workload regressed; this module
+says *which frame* regressed.  Three layers:
 
 * :func:`build_profile` derives, from a finished span list, one
   :class:`FrameStat` per call-stack path — inclusive time, **self time**
@@ -18,7 +18,7 @@ The bench harness can say *that* a workload regressed; this module says
   JSON document.
 * :func:`diff_profiles` aligns two profiles frame-by-frame and ranks
   regressions/improvements by self-time delta — the attribution layer
-  ``repro profile --diff`` and the bench baseline gate report through.
+  ``repro profile --diff`` reports through.
 
 For code that carries no spans at all there is a fallback
 :class:`SamplingProfiler` built on ``sys.setprofile``: it shadows the
@@ -66,9 +66,9 @@ FUSED_TAGS = ("instructions", "branches", "mem_accesses", "flops")
 class FrameStat:
     """One call-stack path's aggregate: where its time actually went.
 
-    ``path`` joins span names with ``/`` (matching the bench harness's
-    timing paths); ``total`` is inclusive seconds, ``self_time`` excludes
-    time spent in child spans.  ``counters`` holds the summed
+    ``path`` joins span names with ``/``, root first; ``total`` is
+    inclusive seconds, ``self_time`` excludes time spent in child
+    spans.  ``counters`` holds the summed
     :data:`FUSED_TAGS` for spans on this path that carried them.
     """
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .slo import SLOReport, SLOSpec, evaluate_slo
+from .profile import _escape
+from .slo import _SPARK_BLOCKS, SLOReport, SLOSpec, evaluate_slo
 from .store import (
     RunRecord,
     histogram_percentile,
@@ -48,7 +49,6 @@ __all__ = [
     "sparkline",
     "mad_outlier",
     "deterministic_drift",
-    "latest_profile_top",
     "scenario_rows",
     "build_report",
     "render_text",
@@ -60,11 +60,8 @@ __all__ = [
 DETERMINISTIC_METRICS: Tuple[str, ...] = (
     "executor.billed_seconds",
     "executor.billed_cost",
-    "bench.executor.total_cost",
-    "bench.executor.sim_seconds",
-    # Service layer: per-job billing (service.job records) and the
-    # concurrency-sweep knee (bench --sweep records) are exact functions
-    # of the session seed.
+    # Service layer: per-job billing (service.job records) is an exact
+    # function of the session seed.
     "service.job.total_cost",
     "service.job.sim_seconds",
     # The deadline verdict and the deadline itself are pure functions of
@@ -72,22 +69,12 @@ DETERMINISTIC_METRICS: Tuple[str, ...] = (
     # which transitively pins the SLO engine's deadline-hit-rate input.
     "service.job.met_deadline",
     "service.job.deadline_seconds",
-    "service.sweep.knee_workers",
     # Chaos scenarios: one (scenario, seed, severity) cell is one run of
     # a deterministic discrete-event simulation — exact replay required.
     "chaos.scenario.total_cost",
     "chaos.scenario.sim_seconds",
     "chaos.scenario.overrun_time",
     "chaos.scenario.overrun_cost",
-    # Fleet planner: a plan is an exact function of (seed, fleet shape).
-    # Wall-clock throughput lives in the bench doc's "fleet" block, not
-    # in the gauge registry, so every fleet gauge is drift-gated.
-    "bench.fleet.planned_flows",
-    "bench.fleet.feasible_flows",
-    "bench.fleet.groups",
-    "bench.fleet.pruned_options",
-    "bench.fleet.total_cost",
-    "bench.fleet.max_certified_gap",
 )
 
 #: Robust-z threshold for MAD outlier flags.
@@ -95,8 +82,6 @@ MAD_THRESHOLD = 3.5
 
 #: Consistency constant: robust z = _MAD_SCALE * (x - median) / MAD.
 _MAD_SCALE = 0.6745
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
 @dataclass(frozen=True)
@@ -172,11 +157,11 @@ def sparkline(values: Sequence[float]) -> str:
         return ""
     lo, hi = min(values), max(values)
     if hi <= lo:
-        return _SPARK_CHARS[3] * len(values)
+        return _SPARK_BLOCKS[3] * len(values)
     span = hi - lo
-    top = len(_SPARK_CHARS) - 1
+    top = len(_SPARK_BLOCKS) - 1
     return "".join(
-        _SPARK_CHARS[min(top, int((v - lo) / span * top))] for v in values
+        _SPARK_BLOCKS[min(top, int((v - lo) / span * top))] for v in values
     )
 
 
@@ -225,21 +210,6 @@ def mad_outlier(
             f"{median:.6g} (window {len(baseline)})"
         )
     return None
-
-
-def latest_profile_top(runs: Sequence[RunRecord]) -> List[dict]:
-    """The most recent run's top-frames profile summary, if stored.
-
-    Bench runs carry ``labels["profile_top"]`` (see
-    :func:`repro.obs.store.bench_to_run`); the newest run that has one
-    wins, so the dashboard always shows where the *latest* run's time
-    went.
-    """
-    for record in reversed(list(runs)):
-        top = record.labels.get("profile_top")
-        if isinstance(top, list) and top:
-            return [f for f in top if isinstance(f, dict)]
-    return []
 
 
 def scenario_rows(runs: Sequence[RunRecord]) -> List[ScenarioRow]:
@@ -435,15 +405,6 @@ def render_text(report: RunReport, store_path: str = "") -> str:
                 f"cost {sparkline(sweep.cost_overruns)} "
                 f"+${sweep.cost_overruns[-1]:.4f}"
             )
-    profile_top = latest_profile_top(report.runs)
-    if profile_top:
-        lines.append("profile (latest run, self time per frame)")
-        for frame in profile_top:
-            lines.append(
-                f"  {float(frame.get('self', 0.0)) * 1e3:>10.3f}ms "
-                f"{int(frame.get('calls', 0)):>6} calls  "
-                f"{frame.get('path', '')}"
-            )
     if report.slo is not None:
         lines.extend(report.slo.render())
     if report.drift:
@@ -461,16 +422,6 @@ def render_text(report: RunReport, store_path: str = "") -> str:
 # ----------------------------------------------------------------------
 # HTML dashboard (self-contained: inline CSS + SVG, no external assets)
 # ----------------------------------------------------------------------
-def _escape(text: object) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
 def _spark_svg(values: Sequence[float], width: int = 160, height: int = 36) -> str:
     """Inline SVG sparkline; native <title> tooltips carry the values."""
     if not values:
@@ -706,25 +657,6 @@ def render_html(report: RunReport, store_path: str = "") -> str:
                 f'<td class="num">{burn}</td>'
                 f"<td>{_spark_svg(burns)}</td>"
                 f"<td>{verdict_cell}</td></tr>"
-            )
-        parts.append("</table>")
-
-    profile_top = latest_profile_top(report.runs)
-    if profile_top:
-        parts.append("<h2>Profile (latest run)</h2><table>")
-        parts.append(
-            "<tr><th>frame</th><th>calls</th><th>self</th><th></th></tr>"
-        )
-        max_self = max(float(f.get("self", 0.0)) for f in profile_top) or 1.0
-        for frame in profile_top:
-            self_time = float(frame.get("self", 0.0))
-            width = max(2, int(160 * self_time / max_self))
-            parts.append(
-                f'<tr><td class="frame">{_escape(frame.get("path", ""))}</td>'
-                f'<td class="num">{int(frame.get("calls", 0))}</td>'
-                f'<td class="num">{self_time * 1e3:.3f}ms</td>'
-                f'<td><span class="selfbar" style="width:{width}px"></span>'
-                f"</td></tr>"
             )
         parts.append("</table>")
 

@@ -17,7 +17,7 @@ usable as *test fixtures* and not just as profiling output:
 
 The module-level :func:`get_tracer`/:func:`set_tracer` pair holds the
 process-global tracer, which starts *disabled*; ``repro trace`` /
-``repro bench`` and the tests install enabled tracers scoped to a run.
+``repro profile`` and the tests install enabled tracers scoped to a run.
 """
 
 from __future__ import annotations

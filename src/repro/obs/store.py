@@ -1,9 +1,8 @@
 """Append-only multi-run telemetry store (JSONL, schema-versioned).
 
-One-off ``BENCH_<rev>.json`` files answer "is this revision slower than
-the baseline"; they cannot answer "what has ``executor.billed_cost``
-done over the last twenty runs".  The store fixes that: every run —
-bench, verify, execute, or anything else — appends one JSON line to
+The store answers "what has ``executor.billed_cost`` done over the last
+twenty runs": every persisted run — service sessions and their jobs,
+chaos scenarios, or anything else — appends one JSON line to
 ``benchmarks/runs/runs.jsonl``, and :mod:`repro.obs.report` draws its
 time series, percentile summaries, and regression flags from it.
 
@@ -29,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +50,7 @@ __all__ = [
     "EmptyHistogramError",
     "RunRecord",
     "RunStore",
-    "bench_to_run",
+    "git_rev",
     "filter_runs",
     "metric_value",
     "metric_names",
@@ -65,6 +65,25 @@ RUNS_SCHEMA = "repro-runs/1"
 
 #: Where the CLI commands append runs by default.
 DEFAULT_STORE_PATH = os.path.join("benchmarks", "runs", "runs.jsonl")
+
+
+def git_rev(default: str = "dev") -> str:
+    """Short git revision of the working tree, or ``default``.
+
+    The CLI stamps it as ``rev`` on every record it persists.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return default
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else default
 
 
 class StoreError(Exception):
@@ -94,8 +113,8 @@ class RunRecord:
 
     ``metrics`` is a :meth:`MetricsSnapshot.to_dict` document;
     ``timings`` maps span paths to wall-clock seconds (machine-
-    dependent); ``labels`` carries free-form metadata (design, epochs,
-    profile, ...).
+    dependent); ``labels`` carries free-form metadata (design, job
+    state, scenario, ...).
     """
 
     kind: str
@@ -198,45 +217,6 @@ class RunStore:
 
     def __len__(self) -> int:
         return len(self.load())
-
-
-def bench_to_run(doc: dict, timestamp_utc: str) -> RunRecord:
-    """Convert a ``repro-bench/1`` document into a storable run record.
-
-    The bench profile block is summarized down to its ten hottest frames
-    by self time (``labels["profile_top"]``) so the dashboard can show
-    where the run's time went without the store growing with every span
-    path the workloads ever produce.
-    """
-    labels: Dict[str, object] = {
-        "design": doc.get("design"),
-        "epochs": doc.get("epochs"),
-        "workloads": doc.get("workloads", {}),
-    }
-    profile = doc.get("profile")
-    if isinstance(profile, dict) and profile:
-        ranked = sorted(
-            profile.items(),
-            key=lambda item: (-float(item[1].get("self", 0.0)), item[0]),
-        )
-        labels["profile_top"] = [
-            {
-                "path": path,
-                "calls": int(frame.get("calls", 0)),
-                "self": float(frame.get("self", 0.0)),
-            }
-            for path, frame in ranked[:10]
-        ]
-    return RunRecord(
-        kind="bench",
-        rev=str(doc.get("rev", "dev")),
-        seed=int(doc.get("seed", 0)),
-        timestamp_utc=timestamp_utc,
-        scale=float(doc.get("scale", 0.0)),
-        labels=labels,
-        metrics=dict(doc.get("metrics", {})),
-        timings=dict(doc.get("timings", {})),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,7 @@ framework-free, stdlib-asyncio service:
   with a memoized characterization flow,
 * :mod:`repro.service.api`     — the in-process request API
   (submit/status/cancel), the synchronous session driver the CLI uses,
-  and the byte-stable session log,
-* :mod:`repro.service.sweep`   — the deterministic concurrency sweep
-  that locates the throughput knee for the bench gate.
+  and the byte-stable session log.
 
 Everything is deterministic by default: tick clocks, inline workers,
 and whole-batch admission make a seeded session a pure function of its
@@ -60,11 +58,9 @@ from .jobs import (
 from .pool import WorkerPool
 from .queue import AdmissionController, JobQueue, TokenBucket
 from .runners import PipelineRunner
-from .sweep import DEFAULT_LEVELS, run_sweep, simulated_makespan
 
 __all__ = [
     "AdmissionController",
-    "DEFAULT_LEVELS",
     "EDAService",
     "ERROR_CODES",
     "InvalidRequestError",
@@ -91,8 +87,6 @@ __all__ = [
     "WorkerPool",
     "job_to_run",
     "run_session",
-    "run_sweep",
     "seeded_job_mix",
     "session_log",
-    "simulated_makespan",
 ]

@@ -238,7 +238,7 @@ def job_to_run(
     The record's ``kind`` is ``service.job`` and its labels carry the
     lifecycle (state, priority, client, pipeline kind, history), so the
     dashboard can group and drift-check per-job billing counters the
-    same way it gates bench runs.  ``attribution`` (an
+    same way it gates chaos scenario runs.  ``attribution`` (an
     :meth:`repro.obs.attrib.Attribution.to_dict` document) rides along in
     the labels when the caller computed one, and jobs that executed a
     plan surface their deadline verdict as ``labels["met_deadline"]`` —

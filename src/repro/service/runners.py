@@ -34,11 +34,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..cloud.executor import ExecutionPolicy, PlanExecutor
 from ..cloud.faults import FaultProfile
+from ..core.characterize import DEFAULT_VCPU_LEVELS
 from ..core.optimize import Selection, build_stage_options, solve_mckp_dp
 from ..eda.flow import FlowResult, FlowRunner
 from ..netlist import benchmarks
 from ..obs import get_metrics
-from ..obs.bench import VCPU_LEVELS
 from .errors import InvalidRequestError
 from .jobs import Job, JobContext
 
@@ -97,7 +97,7 @@ class PipelineRunner:
     @staticmethod
     def _runtime_grid(flow: FlowResult) -> Dict[str, Dict[int, float]]:
         return {
-            stage.value: {v: res.runtime(v) for v in VCPU_LEVELS}
+            stage.value: {v: res.runtime(v) for v in DEFAULT_VCPU_LEVELS}
             for stage, res in flow.stages.items()
         }
 
@@ -106,7 +106,7 @@ class PipelineRunner:
     ) -> Tuple[Optional[Selection], list, float]:
         """MCKP selection under the request deadline (or a safe default)."""
         runtimes = {
-            stage: {v: res.runtime(v) for v in VCPU_LEVELS}
+            stage: {v: res.runtime(v) for v in DEFAULT_VCPU_LEVELS}
             for stage, res in flow.stages.items()
         }
         options = build_stage_options(runtimes)

@@ -13,7 +13,6 @@ from repro.obs.store import (
     StoreCorruptError,
     StoreError,
     StoreSchemaError,
-    bench_to_run,
     histogram_percentile,
     merged_histogram,
     metric_names,
@@ -116,28 +115,6 @@ class TestRunStore:
 
     def test_default_path_under_benchmarks(self):
         assert DEFAULT_STORE_PATH.startswith("benchmarks")
-
-
-class TestBenchToRun:
-    def test_converts_bench_document(self):
-        bench_doc = {
-            "schema": "repro-bench/1",
-            "rev": "abc",
-            "seed": 5,
-            "design": "ctrl",
-            "scale": 0.3,
-            "epochs": 3,
-            "workloads": {"flow": 0.1},
-            "timings": {"bench.flow": 0.1},
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        }
-        record = bench_to_run(bench_doc, "2026-08-06T00:00:00Z")
-        assert record.kind == "bench"
-        assert record.rev == "abc"
-        assert record.seed == 5
-        assert record.labels["design"] == "ctrl"
-        assert record.labels["workloads"] == {"flow": 0.1}
-        assert record.timings == {"bench.flow": 0.1}
 
 
 class TestQueries:

@@ -105,6 +105,32 @@ class TestSeededReplays:
         executed = [b for b in billing.values() if b["billed_cost"] > 0]
         assert executed  # the mix contains execute jobs that billed
 
+    def test_worker_count_does_not_change_job_results(self):
+        """Scheduling decides when a job runs, never what it computes:
+        the same seeded batch yields identical per-job time and billing
+        at every worker count."""
+        requests = [execute_request(i, priority=i % 2) for i in range(8)]
+        per_level = {}
+        for workers in (1, 2, 4, 8):
+            result = run_session(
+                requests, ServiceConfig(workers=workers, queue_depth=8)
+            )
+            assert result.service.all_terminal
+            billing = result.billing_totals()
+            per_level[workers] = {
+                job_id: (
+                    job.result["total_time"],
+                    billing[job_id]["billed_seconds"],
+                    billing[job_id]["billed_cost"],
+                )
+                for job_id, job in result.service.jobs.items()
+            }
+        reference = per_level[1]
+        assert len(reference) == len(requests)
+        assert all(cost > 0 for _, _, cost in reference.values())
+        for workers, results in per_level.items():
+            assert results == reference, workers
+
     def test_different_seeds_change_the_session(self):
         config = ServiceConfig(workers=2, queue_depth=32)
         log_a = session_log(

@@ -255,51 +255,53 @@ class TestErrorPaths:
         ) == 2
 
 
-class TestBenchStoreAndReport:
-    def _bench(self, tmp_path, rev, timestamp):
+class TestStoreAndReport:
+    def _serve(self, tmp_path, rev, timestamp):
         return [
-            "bench", "--seed", "0", "--scale", "0.2", "--epochs", "2",
-            "--rev", rev, "--out", str(tmp_path / "out"),
-            "--store", str(tmp_path / "runs.jsonl"),
+            "serve", "--seed", "0", "--jobs", "3", "--kinds", "execute",
+            "--rev", rev, "--store", str(tmp_path / "runs.jsonl"),
             "--timestamp", timestamp,
         ]
 
-    def test_bench_appends_to_store(self, tmp_path, capsys):
-        assert main(self._bench(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
+    def test_serve_appends_to_store(self, tmp_path, capsys):
+        assert main(self._serve(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
         out = capsys.readouterr().out
-        assert "run appended to" in out
+        assert "4 records appended to" in out
         store = tmp_path / "runs.jsonl"
         assert store.exists()
-        assert len(store.read_text().splitlines()) == 1
+        assert len(store.read_text().splitlines()) == 4
 
-    def test_bench_no_store_skips_append(self, tmp_path, capsys):
-        args = self._bench(tmp_path, "r1", "2026-08-06T00:00:00Z")
+    def test_serve_no_store_skips_append(self, tmp_path, capsys):
+        args = self._serve(tmp_path, "r1", "2026-08-06T00:00:00Z")
         assert main(args + ["--no-store"]) == 0
-        assert "run appended" not in capsys.readouterr().out
+        assert "records appended" not in capsys.readouterr().out
         assert not (tmp_path / "runs.jsonl").exists()
 
     def test_report_over_three_runs_flags_injected_drift(
         self, tmp_path, capsys
     ):
-        # Acceptance: a 3-run store with injected billed-cost drift makes
-        # `repro report` exit 1 with a deterministic-drift flag.
-        import json
-
+        # Acceptance: a 3-session store with injected billed-cost drift
+        # makes `repro report` exit 1 with a deterministic-drift flag.
         for i, rev in enumerate(("r1", "r2", "r3")):
             assert main(
-                self._bench(tmp_path, rev, f"2026-08-06T0{i}:00:00Z")
+                self._serve(tmp_path, rev, f"2026-08-06T0{i}:00:00Z")
             ) == 0
         capsys.readouterr()
         store = tmp_path / "runs.jsonl"
         assert main(["report", "--store", str(store)]) == 0
         clean = capsys.readouterr().out
-        assert "3 runs" in clean
+        assert "12 runs" in clean
         assert "bit-stable" in clean
-        # Inject drift into the last run's billed cost.
+        # Inject drift into the last session's last job's billed cost.
         lines = store.read_text().splitlines()
-        doc = json.loads(lines[-1])
+        index = max(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["kind"] == "service.job"
+        )
+        doc = json.loads(lines[index])
+        assert doc["metrics"]["counters"]["executor.billed_cost"] > 0
         doc["metrics"]["counters"]["executor.billed_cost"] *= 1.5
-        lines[-1] = json.dumps(doc, sort_keys=True)
+        lines[index] = json.dumps(doc, sort_keys=True)
         store.write_text("\n".join(lines) + "\n")
         assert main(["report", "--store", str(store)]) == 1
         drifted = capsys.readouterr().out
@@ -307,7 +309,7 @@ class TestBenchStoreAndReport:
         assert "executor.billed_cost" in drifted
 
     def test_report_html_output(self, tmp_path, capsys):
-        assert main(self._bench(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
+        assert main(self._serve(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
         html_path = tmp_path / "report.html"
         assert main(
             [
@@ -321,17 +323,17 @@ class TestBenchStoreAndReport:
         assert "<svg" in html
 
     def test_report_metric_filter(self, tmp_path, capsys):
-        assert main(self._bench(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
+        assert main(self._serve(tmp_path, "r1", "2026-08-06T00:00:00Z")) == 0
         capsys.readouterr()
         assert main(
             [
                 "report", "--store", str(tmp_path / "runs.jsonl"),
-                "--metric", "gnn.",
+                "--metric", "service.",
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "gnn.train.loss" in out
-        assert "flow.runtime_seconds" not in out
+        assert "service.job.total_cost" in out
+        assert "executor.billed_cost" not in out
 
 
 class TestVerifyReplayDump:
@@ -709,3 +711,35 @@ class TestReportSloFlag:
         out = capsys.readouterr().out
         assert code == 0
         assert "SLO 'service-batch'" in out
+
+
+class TestTraceCli:
+    def test_trace_flow_prints_tree_and_exports(self, tmp_path, capsys):
+        json_out = tmp_path / "trace.json"
+        chrome_out = tmp_path / "chrome.json"
+        code = main(
+            [
+                "trace", "--design", "ctrl", "--scale", "0.2",
+                "--deterministic",
+                "--json", str(json_out), "--chrome", str(chrome_out),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "flow" in out and "stage.synthesis" in out
+        doc = json.loads(json_out.read_text())
+        assert doc["schema"] == "repro-trace/1"
+        chrome = json.loads(chrome_out.read_text())
+        assert any(e["ph"] == "X" for e in chrome["traceEvents"])
+
+    def test_trace_execute_workload(self, capsys):
+        code = main(
+            [
+                "trace", "--workload", "execute", "--design", "ctrl",
+                "--scale", "0.2", "--profile", "heavy", "--seed", "3",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "execute" in out
+        assert "executor.billed_seconds" in out
