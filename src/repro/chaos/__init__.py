@@ -13,7 +13,10 @@ zero is bit-identical to the fault-free executor, and
 
 Named suites (:data:`SCENARIOS`) package workload + spec + service
 storm; ``repro chaos --scenario`` runs them and ``repro verify
---oracle scenario`` fuzzes the graceful-degradation guarantees.
+--oracle scenario`` fuzzes the graceful-degradation guarantees.  The
+storm half is a plain :func:`repro.service.run_session` whose ``evict``
+map comes from :func:`plan_evictions` (correlated AZ reclaims striking
+the zones jobs were placed in).
 """
 
 from .engine import ChaosPlanExecutor, DegradationBound, degradation_bound
@@ -22,11 +25,11 @@ from .scenarios import (
     SCENARIOS,
     ChaosScenario,
     ScenarioResult,
+    plan_evictions,
     run_scenario,
     scenario_names,
     scenario_to_run,
 )
-from .session import StormSessionResult, plan_evictions, run_storm_session
 from .topology import CloudTopology, Region, default_topology
 
 __all__ = [
@@ -44,7 +47,5 @@ __all__ = [
     "scenario_names",
     "run_scenario",
     "scenario_to_run",
-    "StormSessionResult",
     "plan_evictions",
-    "run_storm_session",
 ]

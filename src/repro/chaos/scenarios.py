@@ -21,13 +21,21 @@ zero for the baseline, prices the
 :func:`~repro.chaos.engine.degradation_bound`, and drives a storm
 session through the service layer.  The result's :meth:`trace_dump`
 is the byte-stable artifact CI ``cmp``\\ s across repeat runs.
+
+The storm session is a plain :func:`~repro.service.api.run_session`.
+Jobs are placed into availability zones by crc32 of their submission
+index (:func:`job_zone`), and :func:`plan_evictions` evicts every job
+whose zone the scenario's AZ-reclaim process strikes inside the session
+window.  At severity zero nothing is struck, so the session equals a
+plain ``run_session`` over the same requests — the service half of the
+zero-severity anchor.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..cloud.events import EventKind
 from ..cloud.executor import ExecutionPolicy, ExecutionResult
@@ -35,10 +43,16 @@ from ..cloud.faults import FaultProfile
 from ..cloud.tenancy import NeighborLoad
 from ..eda.job import EDAStage
 from ..obs.store import RunRecord
-from ..service.api import ServiceConfig, seeded_job_mix
+from ..service.api import (
+    ServiceConfig,
+    SessionResult,
+    run_session,
+    seeded_job_mix,
+    session_log,
+)
+from ..service.jobs import JobRequest
 from .engine import ChaosPlanExecutor, DegradationBound, degradation_bound
-from .processes import ChaosSpec
-from .session import StormSessionResult, plan_evictions, run_storm_session
+from .processes import ChaosInjector, ChaosSpec
 from .topology import CloudTopology, default_topology
 
 __all__ = [
@@ -48,6 +62,7 @@ __all__ = [
     "scenario_names",
     "run_scenario",
     "scenario_to_run",
+    "plan_evictions",
 ]
 
 #: Nominal stage runtimes (seconds) at the paper's 4/8-vCPU points —
@@ -200,6 +215,38 @@ def _placement(
     return out
 
 
+def job_zone(topology: CloudTopology, seed: int, index: int) -> str:
+    """Deterministic AZ placement of the ``index``-th submitted job."""
+    zones = topology.zones
+    return zones[zlib.crc32(f"{seed}:job-az:{index}".encode()) % len(zones)]
+
+
+def plan_evictions(
+    requests: Sequence[JobRequest],
+    spec: ChaosSpec,
+    severity: float,
+    topology: CloudTopology,
+    seed: int,
+    window_seconds: float = 4 * 3600.0,
+) -> Dict[int, str]:
+    """Map submission index -> eviction reason for storm-struck jobs.
+
+    A job is struck when its deterministic zone placement suffers an
+    AZ-wide reclaim inside the session window.  All co-located jobs go
+    down together — that is the correlated part.  Empty at severity 0.
+    """
+    injector = ChaosInjector(spec, severity, topology, seed=seed)
+    struck = {az for _, az in injector.az_reclaims_until(window_seconds)}
+    out: Dict[int, str] = {}
+    if not struck:
+        return out
+    for index in range(len(requests)):
+        az = job_zone(topology, seed, index)
+        if az in struck:
+            out[index] = f"az_reclaim:{az}"
+    return out
+
+
 @dataclass
 class ScenarioResult:
     """Everything one scenario run produced, oracle-checkable."""
@@ -210,7 +257,7 @@ class ScenarioResult:
     execution: ExecutionResult
     baseline: ExecutionResult
     bound: DegradationBound
-    storm: StormSessionResult
+    storm: SessionResult
     deadline_seconds: float
 
     @property
@@ -255,7 +302,7 @@ class ScenarioResult:
             self.baseline.trace.to_jsonl(),
             "# service",
         ]
-        lines.extend(self.storm.log_lines())
+        lines.extend(session_log(self.storm.service))
         lines.append(
             f"# verdict completed={self.execution.completed} "
             f"time_overrun={self.time_overrun!r} "
@@ -332,11 +379,12 @@ def run_scenario(
     requests = seeded_job_mix(
         seed, scenario.jobs, kinds=("sleep",), design=scenario.name
     )
-    evictions = plan_evictions(
-        requests, scenario.spec, severity, topology, seed
-    )
-    storm = run_storm_session(
-        requests, evictions, config=ServiceConfig(workers=2)
+    storm = run_session(
+        requests,
+        ServiceConfig(workers=2),
+        evict=plan_evictions(
+            requests, scenario.spec, severity, topology, seed
+        ),
     )
     return ScenarioResult(
         scenario=scenario,

@@ -214,13 +214,17 @@ class EDAService:
         if job.state is JobState.QUEUED:
             job.transition(JobState.CANCELLED, self.clock())
             self._on_terminal(job)
-        self.registry.counter("service.evictions").inc()
         return job.to_public_dict()
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
         """Start the worker pool (requires a running event loop)."""
+        # Python 3.9 binds an asyncio.Event to the loop current at
+        # construction; rebuild it on the loop that will await join().
+        self._idle = asyncio.Event()
+        if self.all_terminal:
+            self._idle.set()
         self.pool.start()
 
     async def drain(self) -> None:
@@ -330,6 +334,8 @@ class EDAService:
     def _on_terminal(self, job: Job) -> None:
         self.terminal_order.append(job.job_id)
         self.registry.counter(f"service.terminal.{job.state.value}").inc()
+        if _evicted(job):
+            self.registry.counter("service.evictions").inc()
         self._maybe_requeue(job)
         self.registry.gauge("service.queue_depth").set(len(self.queue))
         if self.all_terminal:
@@ -385,6 +391,19 @@ def _monotonic() -> Callable[[], float]:
     return time.monotonic
 
 
+def _evicted(job: Job) -> bool:
+    """An eviction's terminal edge: external capacity loss, cancelled."""
+    return job.external_cancel is not None and job.state is JobState.CANCELLED
+
+
+def _evictions(service: EDAService) -> Dict[str, str]:
+    return {
+        job_id: job.external_cancel
+        for job_id, job in sorted(service.jobs.items())
+        if _evicted(job)
+    }
+
+
 # -- session driver -------------------------------------------------------
 
 
@@ -407,6 +426,11 @@ class SessionResult:
     def completion_order(self) -> List[str]:
         return list(self.service.terminal_order)
 
+    @property
+    def evictions(self) -> Dict[str, str]:
+        """Evicted job id -> reason, in job-id order."""
+        return _evictions(self.service)
+
     def billing_totals(self) -> Dict[str, Dict[str, float]]:
         """Per-job billed seconds/cost from the per-job registries."""
         out: Dict[str, Dict[str, float]] = {}
@@ -424,6 +448,7 @@ def run_session(
     config: Optional[ServiceConfig] = None,
     runner: Optional[Callable[[Job, JobContext], dict]] = None,
     cancel: Optional[Dict[int, int]] = None,
+    evict: Optional[Dict[int, str]] = None,
 ) -> SessionResult:
     """Drive one complete service session synchronously.
 
@@ -431,9 +456,19 @@ def run_session(
     submit loop never awaits), so with ``deterministic=True`` the whole
     session is a pure function of ``requests`` and the request seeds.
     ``cancel`` maps *submission index -> number of completed jobs to
-    wait for* before cancelling that job (0 = cancel while queued).
+    wait for* before cancelling that job (0 = cancel while queued); a
+    threshold the session can no longer reach stops waiting once every
+    admitted job is terminal.  ``evict`` maps *submission index ->
+    reason*: that job loses its capacity at its first in-run checkpoint
+    (``Job.external_cancel``), lands in ``cancelled`` and is requeued
+    under a fresh id, which is never re-struck.
+
+    The driver waits for the service to go idle before draining:
+    requeues are refused while draining, and evicted jobs must be able
+    to requeue.
     """
     service = EDAService(config=config, runner=runner)
+    evict = evict or {}
 
     async def _drive() -> List[dict]:
         service.start()
@@ -443,6 +478,7 @@ def run_session(
             try:
                 doc = service.submit(request)
                 job_ids[index] = doc["job_id"]
+                service.jobs[doc["job_id"]].external_cancel = evict.get(index)
                 outcomes.append({"accepted": True, "job_id": doc["job_id"]})
             except ServiceError as exc:
                 outcomes.append({"accepted": False, **exc.to_response()})
@@ -450,12 +486,16 @@ def run_session(
             job_id = job_ids.get(index)
             if job_id is None:
                 continue
-            while len(service.pool.completed) < after:
+            while (
+                len(service.pool.completed) < after
+                and not service.all_terminal
+            ):
                 await asyncio.sleep(0)
             try:
                 service.cancel(job_id)
             except (NotCancellableError, JobNotFoundError):
                 pass
+        await service.join()
         await service.drain()
         return outcomes
 
@@ -467,8 +507,9 @@ def session_log(service: EDAService) -> List[str]:
     """Byte-stable per-job log lines in completion order.
 
     One line per terminal job — id, priority, client, kind, state,
-    worker slot, billed totals — exactly reproducible for one seed; the
-    CI smoke job diffs two same-seed runs of this log.
+    worker slot, billed totals — then one ``evicted`` line per evicted
+    job (in job-id order) naming its reason and requeued incarnation.
+    Exactly reproducible for one seed; CI diffs two same-seed runs.
     """
     lines: List[str] = []
     for job_id in service.terminal_order:
@@ -480,6 +521,16 @@ def session_log(service: EDAService) -> List[str]:
             f"state={job.state.value} worker={job.worker} "
             f"billed_seconds={counters.get('executor.billed_seconds', 0.0):.6f} "
             f"billed_cost={counters.get('executor.billed_cost', 0.0):.6f}"
+        )
+    requeued_as = {
+        job.requeue_of: job.job_id
+        for job in service.jobs.values()
+        if job.requeue_of is not None
+    }
+    for job_id, reason in _evictions(service).items():
+        lines.append(
+            f"evicted {job_id} reason={reason} "
+            f"requeued_as={requeued_as.get(job_id, 'none')}"
         )
     return lines
 

@@ -5,6 +5,8 @@ These are the end-to-end properties ``repro chaos --scenario`` and the
 seeds so a regression names the broken property directly.
 """
 
+import hashlib
+
 import pytest
 
 from repro.chaos import (
@@ -15,7 +17,14 @@ from repro.chaos import (
 )
 from repro.chaos.scenarios import _build_workload
 from repro.chaos.topology import default_topology
+from repro.cli import main
 from repro.cloud.executor import ExecutionPolicy
+
+#: sha256 of ``repro chaos --scenario all --seed 0 --trace-out`` — 12
+#: scenario runs whose dumps carry 23 storm-session eviction lines.
+SCENARIO_DUMP_SHA256 = (
+    "b48a494a24334ade5970306e7191c7d38e38dd12c6d1e8328f73975dac552cb7"
+)
 
 
 def test_scenario_registry_is_sorted_and_self_consistent():
@@ -56,6 +65,26 @@ def test_replay_is_byte_identical():
     b = run_scenario("regime_flap", severity=1.0, seed=4)
     assert a.trace_dump() == b.trace_dump()
     assert a.summary() == b.summary()
+
+
+def test_scenario_dump_is_pinned(tmp_path, capsys):
+    dump = tmp_path / "scenarios.txt"
+    assert main(
+        ["chaos", "--scenario", "all", "--seed", "0", "--trace-out", str(dump)]
+    ) == 0
+    capsys.readouterr()
+    data = dump.read_bytes()
+    assert data.count(b"\nevicted ") == 23
+    assert hashlib.sha256(data).hexdigest() == SCENARIO_DUMP_SHA256
+
+
+def test_storm_evictions_are_counted_once_each():
+    result = run_scenario("az_reclaim_storm", severity=1.0, seed=0)
+    service = result.storm.service
+    assert len(result.storm.evictions) == 8
+    counters = service.registry.snapshot().counters
+    assert counters["service.evictions"] == len(result.storm.evictions)
+    assert counters["service.requeued"] == len(result.storm.evictions)
 
 
 def test_zero_severity_run_has_zero_overrun_and_no_evictions():

@@ -1,6 +1,8 @@
 """The three-verb request API: submit/status/cancel plus the session
 driver's determinism contract."""
 
+import signal
+
 import pytest
 
 from repro.service import (
@@ -144,6 +146,26 @@ class TestStatusAndCancel:
         assert victim.state.value == "cancelled"
         assert victim.worker is None
         assert result.service.pool.slots_acquired == 2
+
+    def test_unreachable_cancel_threshold_does_not_hang(self):
+        # Two jobs can never complete five: the wait must end once every
+        # admitted job is terminal instead of spinning forever.
+        def hung(signum, frame):
+            raise TimeoutError("run_session spun on an unreachable cancel")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            result = run_session(
+                [sleepy(), sleepy()], ServiceConfig(workers=1), cancel={1: 5}
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [job.state.value for job in result.service.jobs.values()] == [
+            "done",
+            "done",
+        ]
 
 
 class TestSessionDeterminism:

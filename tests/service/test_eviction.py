@@ -29,6 +29,7 @@ from repro.service import (
     NotCancellableError,
     ServiceConfig,
     run_session,
+    session_log,
 )
 
 
@@ -37,55 +38,24 @@ def ok_runner(job, ctx):
     return {"ok": True}
 
 
-def run_evicting_session(requests, evicted, config, runner=ok_runner):
-    """Drive a session where ``evicted`` (index -> reason) jobs lose
-    their capacity at the first in-run checkpoint.
-
-    Waits for the service to go *idle* before draining: requeues are
-    refused while draining, and these tests exercise the requeue path.
-    """
-    evicted_ids = {}
-
-    def wrapper(job, ctx):
-        reason = evicted_ids.get(job.job_id)
-        if reason is not None:
-            job.external_cancel = reason
-        ctx.checkpoint()
-        return runner(job, ctx)
-
-    service = EDAService(config=config, runner=wrapper)
-
-    async def drive():
-        service.start()
-        for i, request in enumerate(requests):
-            doc = service.submit(request)
-            if i in evicted:
-                evicted_ids[doc["job_id"]] = evicted[i]
-        await service.join()
-        await service.drain()
-
-    asyncio.run(drive())
-    return service
-
-
 class TestMidRunEviction:
     def test_evicted_job_lands_cancelled_with_reason(self):
-        service = run_evicting_session(
+        service = run_session(
             [JobRequest(kind="sleep") for _ in range(3)],
-            {1: "az_reclaim:us-east-1a"},
             ServiceConfig(workers=2, queue_depth=8),
-        )
+            evict={1: "az_reclaim:us-east-1a"},
+        ).service
         job = service.jobs["job-0001"]
         assert job.state is JobState.CANCELLED
         assert job.external_cancel == "az_reclaim:us-east-1a"
         assert job.worker is not None  # it was running, not queued
 
     def test_evicted_job_is_requeued_as_a_fresh_incarnation(self):
-        service = run_evicting_session(
+        service = run_session(
             [JobRequest(kind="sleep") for _ in range(2)],
-            {0: "storm"},
             ServiceConfig(workers=1, queue_depth=8),
-        )
+            evict={0: "storm"},
+        ).service
         clones = [
             job for job in service.jobs.values() if job.requeue_of is not None
         ]
@@ -97,6 +67,9 @@ class TestMidRunEviction:
         assert clone.state is JobState.DONE  # fresh id, never re-struck
         assert clone.request == service.jobs["job-0000"].request
         assert service.registry.snapshot().counters["service.requeued"] == 1
+        assert session_log(service)[-1] == (
+            f"evicted job-0000 reason=storm requeued_as={clone.job_id}"
+        )
 
     def test_requeue_budget_is_finite(self):
         # Strike every incarnation: the original is requeued once, the
@@ -106,18 +79,11 @@ class TestMidRunEviction:
             ctx.checkpoint()
             return {"ok": True}
 
-        service = EDAService(
-            config=ServiceConfig(workers=1, queue_depth=8),
+        service = run_session(
+            [JobRequest(kind="sleep")],
+            ServiceConfig(workers=1, queue_depth=8),
             runner=always_evict,
-        )
-
-        async def drive():
-            service.start()
-            service.submit(JobRequest(kind="sleep"))
-            await service.join()
-            await service.drain()
-
-        asyncio.run(drive())
+        ).service
         assert len(service.jobs) == 2
         assert all(
             job.state is JobState.CANCELLED for job in service.jobs.values()
@@ -127,11 +93,11 @@ class TestMidRunEviction:
         assert counters["service.requeue_exhausted"] == 1
 
     def test_requeue_can_be_disabled(self):
-        service = run_evicting_session(
+        service = run_session(
             [JobRequest(kind="sleep")],
-            {0: "storm"},
             ServiceConfig(workers=1, queue_depth=8, requeue_on_eviction=False),
-        )
+            evict={0: "storm"},
+        ).service
         assert len(service.jobs) == 1
 
     def test_eviction_outranks_client_cancel_at_checkpoint(self):
@@ -142,26 +108,25 @@ class TestMidRunEviction:
                 ctx.checkpoint()
             raise JobEvicted(job.job_id, job.external_cancel)
 
-        service = run_evicting_session(
+        service = run_session(
             [JobRequest(kind="sleep")],
-            {},
             ServiceConfig(workers=1, queue_depth=4, requeue_on_eviction=False),
             runner=both,
-        )
+        ).service
         assert service.jobs["job-0000"].state is JobState.CANCELLED
 
     def test_eviction_writes_a_crash_dump(self, tmp_path):
         crash_dir = str(tmp_path / "crashes")
         with scoped(log=Logger(deterministic=True)):
-            run_evicting_session(
+            run_session(
                 [JobRequest(kind="sleep")],
-                {0: "az_reclaim:us-east-1b"},
                 ServiceConfig(
                     workers=1,
                     queue_depth=4,
                     crash_dir=crash_dir,
                     requeue_on_eviction=False,
                 ),
+                evict={0: "az_reclaim:us-east-1b"},
             )
         dumps = os.listdir(crash_dir)
         assert len(dumps) == 1
@@ -221,11 +186,11 @@ class TestStormChurn:
             JobRequest(kind="sleep", priority=i % 3) for i in range(jobs)
         ]
         evicted = {i: f"storm:{i}" for i in range(0, jobs, 7)}
-        service = run_evicting_session(
+        service = run_session(
             requests,
-            evicted,
             ServiceConfig(workers=4, queue_depth=2 * jobs),
-        )
+            evict=evicted,
+        ).service
         pool = service.pool
         assert pool.active == 0
         assert pool.slots_acquired == pool.slots_released
@@ -243,17 +208,18 @@ class TestStormChurn:
         assert all(job.external_cancel is not None for job in cancelled)
         counters = service.registry.snapshot().counters
         assert counters["service.requeued"] == len(evicted)
+        assert counters["service.evictions"] == len(evicted)
 
     def test_storm_session_replay_is_deterministic(self):
         requests = [JobRequest(kind="sleep", priority=i % 2) for i in range(40)]
         evicted = {i: "storm" for i in range(0, 40, 5)}
         config = ServiceConfig(workers=3, queue_depth=128)
-        first = run_evicting_session(requests, evicted, config)
-        second = run_evicting_session(requests, evicted, config)
-        assert first.pool.completed == second.pool.completed
-        assert [
-            (j.job_id, j.state.value) for j in first.jobs.values()
-        ] == [(j.job_id, j.state.value) for j in second.jobs.values()]
+        first = run_session(requests, config, evict=evicted)
+        second = run_session(requests, config, evict=evicted)
+        assert first.service.pool.completed == second.service.pool.completed
+        assert session_log(first.service) == session_log(second.service)
+        assert first.evictions == second.evictions
+        assert len(first.evictions) == len(evicted)
 
 
 class TestBaselineUnchanged:

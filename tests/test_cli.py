@@ -216,6 +216,13 @@ class TestChaosCommand:
         assert "PASS" in out
         assert "convergence" in out
 
+    def test_zero_trials_runs_only_the_convergence_check(self, capsys):
+        code = main(["chaos", "--trials", "0", "--convergence-trials", "150"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("convergence")
+        assert "executor" not in out
+
     def test_run_is_deterministic(self, capsys):
         main(["chaos", "--trials", "3", "--convergence-trials", "150"])
         first = capsys.readouterr().out
