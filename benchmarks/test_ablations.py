@@ -14,13 +14,11 @@ the choices the paper made (and the ones we had to make) —
 import random
 
 import numpy as np
-import pytest
 
 from repro.cloud import InstanceFamily, VMConfig
 from repro.core.optimize import (
     ConfigOption,
     StageOptions,
-    solve_brute_force,
     solve_greedy,
     solve_mckp_dp,
     solve_min_cost_dp,
@@ -66,25 +64,19 @@ def _random_instances(count, seed=0):
     return instances
 
 
-def test_ablation_objective_inverse_price_vs_min_cost(benchmark):
+def test_ablation_objective_inverse_price_vs_min_cost():
     """The paper maximizes sum(1/p); direct cost minimization can differ.
 
     Measures how often and by how much the two objectives diverge over
     random pricing instances.
     """
-    instances = _random_instances(120, seed=3)
-
-    def run():
-        diffs = []
-        for stages, deadline in instances:
-            inv = solve_mckp_dp(stages, deadline)
-            cost = solve_min_cost_dp(stages, deadline)
-            if inv is None or cost is None:
-                continue
-            diffs.append((inv.total_cost, cost.total_cost))
-        return diffs
-
-    diffs = benchmark.pedantic(run, rounds=1, iterations=1)
+    diffs = []
+    for stages, deadline in _random_instances(120, seed=3):
+        inv = solve_mckp_dp(stages, deadline)
+        cost = solve_min_cost_dp(stages, deadline)
+        if inv is None or cost is None:
+            continue
+        diffs.append((inv.total_cost, cost.total_cost))
     worse = [(a - b) / b for a, b in diffs if a > b + 1e-12]
     print(
         f"\nobjective ablation: {len(diffs)} feasible instances, "
@@ -99,25 +91,19 @@ def test_ablation_objective_inverse_price_vs_min_cost(benchmark):
         assert max(worse) < 0.8
 
 
-def test_ablation_greedy_vs_optimal(benchmark):
+def test_ablation_greedy_vs_optimal():
     """The greedy heuristic is near-optimal but not optimal."""
-    instances = _random_instances(120, seed=11)
-
-    def run():
-        gaps = []
-        greedy_failures = 0
-        for stages, deadline in instances:
-            opt = solve_min_cost_dp(stages, deadline)
-            greedy = solve_greedy(stages, deadline)
-            if opt is None:
-                continue
-            if greedy is None:
-                greedy_failures += 1
-                continue
-            gaps.append((greedy.total_cost - opt.total_cost) / opt.total_cost)
-        return gaps, greedy_failures
-
-    gaps, failures = benchmark.pedantic(run, rounds=1, iterations=1)
+    gaps = []
+    failures = 0
+    for stages, deadline in _random_instances(120, seed=11):
+        opt = solve_min_cost_dp(stages, deadline)
+        greedy = solve_greedy(stages, deadline)
+        if opt is None:
+            continue
+        if greedy is None:
+            failures += 1
+            continue
+        gaps.append((greedy.total_cost - opt.total_cost) / opt.total_cost)
     print(
         f"\ngreedy ablation: mean gap {100 * np.mean(gaps):.2f}%, "
         f"max gap {100 * max(gaps):.2f}%, infeasible-miss {failures}"
@@ -159,22 +145,17 @@ def test_ablation_greedy_vs_optimal(benchmark):
     assert greedy_sel.total_cost > optimal_sel.total_cost  # greedy is not optimal
 
 
-def test_ablation_billing_granularity(benchmark, paper_stage_options):
+def test_ablation_billing_granularity(paper_stage_options):
     """Per-second billing justifies rounding; coarser billing costs money."""
-
-    def run():
-        rows = []
-        base = solve_mckp_dp(paper_stage_options, 10_000)
-        for granularity in (1, 60, 3600):
-            total = 0.0
-            for stage_opts in paper_stage_options:
-                opt = base.choices[stage_opts.stage]
-                units = -(-opt.runtime_seconds // granularity)  # ceil
-                total += units * granularity * opt.vm.price_per_second
-            rows.append((granularity, total))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    base = solve_mckp_dp(paper_stage_options, 10_000)
+    for granularity in (1, 60, 3600):
+        total = 0.0
+        for stage_opts in paper_stage_options:
+            opt = base.choices[stage_opts.stage]
+            units = -(-opt.runtime_seconds // granularity)  # ceil
+            total += units * granularity * opt.vm.price_per_second
+        rows.append((granularity, total))
     print("\nbilling granularity ablation:")
     for granularity, total in rows:
         print(f"  {granularity:>5}s units -> ${total:.4f}")
@@ -184,20 +165,15 @@ def test_ablation_billing_granularity(benchmark, paper_stage_options):
     assert rows[1][1] >= per_second
 
 
-def test_ablation_star_vs_clique_net_model(benchmark):
+def test_ablation_star_vs_clique_net_model():
     """The paper's star model vs the clique alternative.
 
     Cliques blow up quadratically on high-fanout nets — the reason the
     paper (and every placer) prefers the star model for large designs.
     """
     netlist = SynthesisEngine().run(benchmarks.build("sparc_core", 0.8)).artifact
-
-    def run():
-        star = netlist_to_star_graph(netlist)
-        clique = netlist_to_clique_graph(netlist)
-        return star, clique
-
-    star, clique = benchmark.pedantic(run, rounds=1, iterations=1)
+    star = netlist_to_star_graph(netlist)
+    clique = netlist_to_clique_graph(netlist)
     ratio = clique.num_edges / star.num_edges
     max_fanout = max(net.fanout for net in netlist.nets.values())
     print(
@@ -208,7 +184,7 @@ def test_ablation_star_vs_clique_net_model(benchmark):
     assert star.num_edges == sum(n.fanout for n in netlist.nets.values())
 
 
-def test_ablation_synthesis_recipe_depth(benchmark):
+def test_ablation_synthesis_recipe_depth():
     """Longer recipes buy area at the cost of synthesis runtime."""
     aig = benchmarks.build("sparc_core", 0.8)
     engine = SynthesisEngine()
@@ -218,13 +194,7 @@ def test_ablation_synthesis_recipe_depth(benchmark):
         "resyn": ("balance", "rewrite", "balance"),
         "resyn2": ("balance", "rewrite", "balance", "refactor", "balance"),
     }
-
-    def run():
-        return {
-            name: engine.run(aig, recipe=recipe) for name, recipe in recipes.items()
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {name: engine.run(aig, recipe=recipe) for name, recipe in recipes.items()}
     rows = [
         [
             name,
@@ -242,7 +212,7 @@ def test_ablation_synthesis_recipe_depth(benchmark):
     assert runtimes["resyn2"] > runtimes["balance"]
 
 
-def test_ablation_branch_predictor_choice(benchmark):
+def test_ablation_branch_predictor_choice():
     """Perf-substrate sensitivity: gshare vs 2-bit on the router's stream.
 
     The characterization's *ordering* must not hinge on the predictor
@@ -256,19 +226,13 @@ def test_ablation_branch_predictor_choice(benchmark):
         "synthesis": [rng.random() < 0.82 for _ in range(4000)],
         "placement": ([True] * 63 + [False]) * 62,
     }
-
-    def run():
-        out = {}
-        for name, outcomes in streams.items():
-            two_bit = TwoBitPredictor()
-            gshare = GSharePredictor()
-            out[name] = (
-                two_bit.process([7] * len(outcomes), outcomes) / len(outcomes),
-                gshare.process([7] * len(outcomes), outcomes) / len(outcomes),
-            )
-        return out
-
-    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    rates = {
+        name: (
+            TwoBitPredictor().process([7] * len(outcomes), outcomes) / len(outcomes),
+            GSharePredictor().process([7] * len(outcomes), outcomes) / len(outcomes),
+        )
+        for name, outcomes in streams.items()
+    }
     print("\npredictor ablation (miss rates):")
     for name, (tb, gs) in rates.items():
         print(f"  {name:10s} 2-bit {100 * tb:5.1f}%  gshare {100 * gs:5.1f}%")
@@ -277,7 +241,7 @@ def test_ablation_branch_predictor_choice(benchmark):
         assert rates["synthesis"][model_idx] > rates["placement"][model_idx]
 
 
-def test_ablation_spot_market(benchmark, paper_stage_options):
+def test_ablation_spot_market(paper_stage_options):
     """Extension ablation: mixing spot instances into the MCKP menu.
 
     With relaxed deadlines, interruptible capacity cuts costs well below
@@ -288,18 +252,13 @@ def test_ablation_spot_market(benchmark, paper_stage_options):
 
     market = SpotMarket(discount=0.3, interrupt_rate_per_hour=0.05)
     augmented = market.augment_stage_options(paper_stage_options)
-
-    def run():
-        rows = []
-        fastest = sum(s.fastest.runtime_seconds for s in paper_stage_options)
-        slowest = sum(s.options[0].runtime_seconds for s in paper_stage_options)
-        for deadline in (fastest, (fastest + slowest) // 2, 2 * slowest):
-            on_demand = solve_min_cost_dp(paper_stage_options, deadline)
-            mixed = solve_min_cost_dp(augmented, deadline)
-            rows.append((deadline, on_demand, mixed))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    fastest = sum(s.fastest.runtime_seconds for s in paper_stage_options)
+    slowest = sum(s.options[0].runtime_seconds for s in paper_stage_options)
+    rows = []
+    for deadline in (fastest, (fastest + slowest) // 2, 2 * slowest):
+        on_demand = solve_min_cost_dp(paper_stage_options, deadline)
+        mixed = solve_min_cost_dp(augmented, deadline)
+        rows.append((deadline, on_demand, mixed))
     print("\nspot-market ablation:")
     for deadline, on_demand, mixed in rows:
         od = f"${on_demand.total_cost:.3f}" if on_demand else "NA"

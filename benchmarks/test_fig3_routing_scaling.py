@@ -3,48 +3,28 @@
 The paper routes the OpenPiton designs (dynamic_node smallest ...
 sparc_core largest) and shows that big designs scale with vCPUs while
 small ones plateau — "almost equal speedups for 4 and 8 vCPUs" on
-dynamic_node and aes.
+dynamic_node and aes.  The series comes from
+:func:`repro.core.experiments.run_figure3` at its default lineup.
 """
 
 import pytest
 
+from repro.core.experiments import run_figure3
 from repro.core.report import render_figure3
-from repro.eda import FlowRunner, EDAStage
-from repro.netlist import benchmarks
-
-#: Designs smallest-to-largest, as in the paper's Figure 3 x-axis.
-FIG3_DESIGNS = [
-    ("dynamic_node", 1.0),
-    ("aes", 0.8),
-    ("fpu", 1.0),
-    ("sparc_core", 1.5),
-]
-
-VCPUS = (1, 2, 4, 8)
 
 
 @pytest.fixture(scope="module")
-def routing_speedups():
-    runner = FlowRunner()
-    out = {}
-    sizes = {}
-    for name, scale in FIG3_DESIGNS:
-        flow = runner.run(benchmarks.build(name, scale))
-        routing = flow[EDAStage.ROUTING]
-        out[name] = {v: routing.profile.speedup(v) for v in VCPUS}
-        sizes[name] = flow[EDAStage.SYNTHESIS].artifact.num_instances
-    return out, sizes
+def fig3():
+    out = run_figure3()
+    print("\n" + render_figure3(out["speedups"]))
+    print("instance counts:", out["instances"])
+    return out
 
 
-def test_fig3_routing_speedup_by_design(benchmark, routing_speedups):
-    speedups, sizes = benchmark.pedantic(
-        lambda: routing_speedups, rounds=1, iterations=1
-    )
-    print("\n" + render_figure3(speedups))
-    print("instance counts:", sizes)
-
-    smallest = FIG3_DESIGNS[0][0]
-    largest = FIG3_DESIGNS[-1][0]
+def test_fig3_routing_speedup_by_design(fig3):
+    speedups, sizes = fig3["speedups"], fig3["instances"]
+    designs = list(speedups)  # smallest to largest, the paper's x-axis
+    smallest, largest = designs[0], designs[-1]
     assert sizes[largest] > 5 * sizes[smallest]
 
     # Large designs scale well with vCPUs; small ones don't.
@@ -56,18 +36,17 @@ def test_fig3_routing_speedup_by_design(benchmark, routing_speedups):
     assert abs(speedups[smallest][8] - speedups[smallest][4]) < 0.5
 
     # Speedup at 8 vCPUs grows with design size (monotone in the lineup).
-    at8 = [speedups[name][8] for name, _ in FIG3_DESIGNS]
+    at8 = [speedups[name][8] for name in designs]
     assert at8[-1] == max(at8)
     assert at8[0] == min(at8)
 
 
-def test_fig3_adding_vcpus_never_helps_everywhere(benchmark, routing_speedups):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig3_adding_vcpus_never_helps_everywhere(fig3):
     # 'Adding more vCPUs does not eminently scale the routing job in all
     # designs' — at least one design gains < 25% going from 4 to 8.
-    speedups, _sizes = routing_speedups
-    gains = [speedups[name][8] / speedups[name][4] for name, _ in FIG3_DESIGNS]
+    speedups = fig3["speedups"]
+    gains = [sp[8] / sp[4] for sp in speedups.values()]
     assert min(gains) < 1.25
     # ...but the largest design still gains substantially.
-    largest = FIG3_DESIGNS[-1][0]
+    largest = list(speedups)[-1]
     assert speedups[largest][8] / speedups[largest][4] > 1.2

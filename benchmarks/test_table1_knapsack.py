@@ -1,103 +1,83 @@
 """Table I: minimizing total deployment cost subject to a time constraint.
 
-Regenerates the whole table from the characterization runtimes: the
-runtime/cost menu per stage at 1/2/4/8 vCPUs, the recommended
-configuration under each total-runtime constraint, and the NA row for an
-unachievable deadline.
+Regenerates the whole table from the characterization runtimes through
+:func:`repro.core.experiments.table1_figure6`: the runtime/cost menu per
+stage at 1/2/4/8 vCPUs, the recommended configuration under each
+total-runtime constraint, and the NA row for an unachievable deadline.
 """
 
 import pytest
 
-from repro.core.optimize import (
-    solve_brute_force,
-    solve_mckp_dp,
-)
+from repro.core.optimize import solve_brute_force, solve_mckp_dp
 from repro.core.report import render_table1
-from repro.eda.job import EDAStage
 
 
-@pytest.fixture(scope="module")
-def constraints(paper_stage_options):
-    """Deadlines spanning the feasible range, plus one infeasible."""
-    fastest = sum(s.fastest.runtime_seconds for s in paper_stage_options)
-    slowest = sum(s.options[0].runtime_seconds for s in paper_stage_options)
-    mid = (fastest + slowest) // 2
-    return [slowest, mid, int(fastest * 1.05), fastest, int(fastest * 0.85)]
+def _feasible_rows(table1_figure6):
+    rows = [r for r in table1_figure6["table1"] if r["feasible"]]
+    return sorted(rows, key=lambda r: r["deadline_s"])
 
 
-def test_table1_selections(benchmark, paper_stage_options, constraints):
-    selections = benchmark.pedantic(
-        lambda: {c: solve_mckp_dp(paper_stage_options, c) for c in constraints},
-        rounds=1,
-        iterations=1,
-    )
-    print("\n" + render_table1(paper_stage_options, constraints, selections))
+def test_table1_selections(table1_figure6):
+    rows = table1_figure6["table1"]
+    print("\n" + render_table1(table1_figure6["menu"], rows))
 
-    fastest = sum(s.fastest.runtime_seconds for s in paper_stage_options)
+    fastest = table1_figure6["fastest_s"]
 
     # Feasible constraints are met; the too-tight one is NA.
-    for c in constraints:
-        sel = selections[c]
-        if c >= fastest:
-            assert sel is not None
-            assert sel.total_runtime <= c
+    for row in rows:
+        if row["deadline_s"] >= fastest:
+            assert row["feasible"]
+            assert row["total_runtime_s"] <= row["deadline_s"]
         else:
-            assert sel is None  # the paper's "NA" row
+            assert not row["feasible"]  # the paper's "NA" row
 
     # Tightening the constraint never lowers the cost.
-    feasible = sorted(c for c in constraints if selections[c] is not None)
-    costs = [selections[c].total_cost for c in feasible]
+    feasible = _feasible_rows(table1_figure6)
+    costs = [r["total_cost_usd"] for r in feasible]
     assert costs == sorted(costs, reverse=True) or costs == sorted(costs)
     # (costs increase as deadlines tighten: largest deadline = cheapest)
-    assert selections[feasible[-1]].total_cost <= selections[feasible[0]].total_cost
+    assert feasible[-1]["total_cost_usd"] <= feasible[0]["total_cost_usd"]
 
     # At the exact fastest-possible deadline every stage uses its fastest VM.
-    boundary = selections[fastest]
-    for stage_opts in paper_stage_options:
-        assert boundary.choices[stage_opts.stage] == stage_opts.fastest
+    boundary = next(r for r in rows if r["deadline_s"] == fastest)
+    for stage, entry in table1_figure6["menu"].items():
+        options = entry["options"]
+        fastest_vcpus = min(options, key=lambda v: options[v]["runtime_s"])
+        assert boundary["vcpus"][stage] == fastest_vcpus
 
 
-def test_table1_escalation_is_selective(benchmark, paper_stage_options, constraints):
+def test_table1_escalation_is_selective(table1_figure6):
     """Tightening the deadline escalates *some* stages, not all at once —
     the behaviour the paper highlights in Table I."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    feasible = sorted(c for c in constraints if solve_mckp_dp(paper_stage_options, c))
-    loose = solve_mckp_dp(paper_stage_options, feasible[-1])
-    mid = solve_mckp_dp(paper_stage_options, feasible[len(feasible) // 2])
-    vcpus_loose = {s: o.vm.vcpus for s, o in loose.choices.items()}
-    vcpus_mid = {s: o.vm.vcpus for s, o in mid.choices.items()}
+    feasible = _feasible_rows(table1_figure6)
+    vcpus_loose = feasible[-1]["vcpus"]
+    vcpus_mid = feasible[len(feasible) // 2]["vcpus"]
     assert any(vcpus_mid[s] > vcpus_loose[s] for s in vcpus_mid) or vcpus_mid == vcpus_loose
 
 
-def test_table1_dp_is_optimal(benchmark, paper_stage_options, constraints):
+def test_table1_dp_is_optimal(paper_stage_options, table1_figure6):
     """The pseudo-polynomial DP matches exhaustive search on the real data."""
-    deadline = sorted(c for c in constraints if solve_mckp_dp(paper_stage_options, c))[0]
-
-    def both():
-        return (
-            solve_mckp_dp(paper_stage_options, deadline),
-            solve_brute_force(paper_stage_options, deadline),
-        )
-
-    dp, bf = benchmark.pedantic(both, rounds=1, iterations=1)
+    deadline = _feasible_rows(table1_figure6)[0]["deadline_s"]
+    dp = solve_mckp_dp(paper_stage_options, deadline)
+    bf = solve_brute_force(paper_stage_options, deadline)
     assert dp.objective_inverse_price == pytest.approx(bf.objective_inverse_price)
 
 
-def test_table1_runtime_menu_matches_paper_magnitudes(benchmark, paper_stage_options):
+def test_table1_runtime_menu_matches_paper_magnitudes(table1_figure6):
     """Per-stage 1-vCPU runtimes land in the paper's regime (same order)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rt1 = {
-        s.stage: s.options[0].runtime_seconds for s in paper_stage_options
+        stage: entry["options"][1]["runtime_s"]
+        for stage, entry in table1_figure6["menu"].items()
     }
     paper = {
-        EDAStage.SYNTHESIS: 6100,
-        EDAStage.PLACEMENT: 1206,
-        EDAStage.ROUTING: 10461,
-        EDAStage.STA: 183,
+        "synthesis": 6100,
+        "placement": 1206,
+        "routing": 10461,
+        "sta": 183,
     }
     for stage, expected in paper.items():
         assert 0.4 * expected <= rt1[stage] <= 2.5 * expected, (stage, rt1[stage])
     # Relative ordering: routing > synthesis > placement > STA.
-    assert rt1[EDAStage.ROUTING] > rt1[EDAStage.SYNTHESIS]
-    assert rt1[EDAStage.SYNTHESIS] > rt1[EDAStage.PLACEMENT]
-    assert rt1[EDAStage.PLACEMENT] > rt1[EDAStage.STA]
+    assert rt1["routing"] > rt1["synthesis"]
+    assert rt1["synthesis"] > rt1["placement"]
+    assert rt1["placement"] > rt1["sta"]

@@ -36,7 +36,7 @@ def main() -> None:
     print("  routing speedup@8 by design:",
           {k: round(v[8], 2) for k, v in fig3["speedups"].items()})
     t1 = results["table1_figure6"]
-    print(f"  average saving: {t1['average_saving_pct']:.1f}% (paper: 35.29%)")
+    print(f"  average saving: {t1['average_saving_pct']:.2f}% (paper: 35.29%)")
     print(f"results written to {out_path} "
           f"({results['meta']['wall_seconds']}s)")
 

@@ -64,13 +64,8 @@ from .cloud.faults import PROFILES as FAULT_PROFILES
 from .cloud.instance import InstanceFamily, VMConfig
 from .cloud.provisioner import DeploymentPlan
 from .core.characterize import characterize
-from .core.optimize import (
-    build_stage_options,
-    cost_saving_percent,
-    over_provisioning,
-    solve_mckp_dp,
-    under_provisioning,
-)
+from .core.experiments import run_table1_figure6
+from .core.optimize import build_stage_options, solve_mckp_dp
 from .core.report import render_figure2, render_table1
 from .eda import EDAStage, FlowRunner
 from .netlist import benchmarks
@@ -127,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs="+",
         default=None,
-        help="total-runtime constraints in seconds (default: auto sweep)",
+        help="total-runtime constraints in seconds (default: Table I's five)",
     )
 
     p_pred = sub.add_parser(
@@ -606,30 +601,15 @@ def _cmd_optimize(args) -> int:
     report = characterize(
         args.design, scale=args.scale, sample_rate=args.sample_rate
     )
-    stages = build_stage_options(
-        report.stage_runtimes(), families=report.recommended_families()
-    )
-    fastest = sum(s.fastest.runtime_seconds for s in stages)
-    slowest = sum(s.options[0].runtime_seconds for s in stages)
-    deadlines = args.deadlines or [
-        slowest,
-        (fastest + slowest) // 2,
-        fastest,
-        int(0.9 * fastest),
-    ]
-    selections = {c: solve_mckp_dp(stages, c) for c in deadlines}
-    print(render_table1(stages, deadlines, selections))
-    over = over_provisioning(stages)
-    under = under_provisioning(stages)
-    for c in deadlines:
-        sel = selections[c]
-        if sel is None:
+    series = run_table1_figure6(report, deadlines=args.deadlines)
+    print(render_table1(series["menu"], series["table1"]))
+    for row in series["table1"]:
+        if not row["feasible"]:
             continue
         print(
-            f"deadline {c:,.0f}s: ${sel.total_cost:.4f} "
-            f"(saves {cost_saving_percent(sel.total_cost, over.total_cost):.1f}% "
-            f"vs over-, {cost_saving_percent(sel.total_cost, under.total_cost):.1f}% "
-            f"vs under-provisioning)"
+            f"deadline {row['deadline_s']:,.0f}s: ${row['total_cost_usd']:.4f} "
+            f"(saves {row['saving_vs_over_pct']:.1f}% vs over-, "
+            f"{row['saving_vs_under_pct']:.1f}% vs under-provisioning)"
         )
     return 0
 

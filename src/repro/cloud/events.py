@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["EventKind", "ExecutionEvent", "ExecutionTrace"]
 
@@ -166,13 +166,6 @@ class ExecutionTrace:
     @property
     def billed_seconds(self) -> float:
         return sum(e.get("seconds", 0.0) for e in self.of_kind(EventKind.BILLED))
-
-    def billed_by_stage(self) -> Dict[str, float]:
-        """Per-stage billed cost (the oracle sums these against totals)."""
-        out: Dict[str, float] = {}
-        for e in self.of_kind(EventKind.BILLED):
-            out[e.stage] = out.get(e.stage, 0.0) + e.get("cost", 0.0)
-        return out
 
     def render(self) -> str:
         """Deterministic multi-line rendering (same seed ⇒ same bytes)."""

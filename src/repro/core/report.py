@@ -8,11 +8,11 @@ speedup-vs-design table, Figure 5's error histogram, Table I, and Figure
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from ..cloud.instance import InstanceFamily
 from ..eda.job import EDAStage
 from .characterize import CharacterizationReport
-from .optimize import Selection, StageOptions
 
 __all__ = [
     "render_figure2",
@@ -106,45 +106,42 @@ def render_figure5(
 
 
 def render_table1(
-    stages: Sequence[StageOptions],
-    constraints: Sequence[float],
-    selections: Mapping[float, Optional[Selection]],
+    menu: Mapping[str, Mapping], rows: Sequence[Mapping]
 ) -> str:
-    """Table I: per-stage runtime/cost menu plus selections per deadline."""
-    headers = ["stage", "family"] + [
-        f"{opt.vm.vcpus}v" for opt in stages[0].options
-    ]
+    """Table I from :func:`repro.core.experiments.table1_figure6`'s
+    ``menu`` and ``table1`` rows: the per-stage runtime/cost menu plus the
+    selection per deadline."""
+    stages = list(menu)
+    levels = list(menu[stages[0]]["options"])
+    headers = ["stage", "family"] + [f"{v}v" for v in levels]
     rt_rows = []
     cost_rows = []
-    for s in stages:
+    for stage, entry in menu.items():
+        name = EDAStage(stage).display_name
+        options = entry["options"].values()
         rt_rows.append(
-            [s.stage.display_name, s.options[0].vm.family.display_name]
-            + [f"{o.runtime_seconds:,}" for o in s.options]
+            [name, InstanceFamily(entry["family"]).display_name]
+            + [f"{o['runtime_s']:,}" for o in options]
         )
-        cost_rows.append(
-            [s.stage.display_name, ""]
-            + [f"${o.price:.2f}" for o in s.options]
-        )
+        cost_rows.append([name, ""] + [f"${o['cost_usd']:.2f}" for o in options])
     parts = [
         "Runtime (sec) per configuration\n" + format_table(headers, rt_rows),
         "Cost ($) per configuration\n" + format_table(headers, cost_rows),
     ]
     sel_headers = ["constraint"] + [
-        s.stage.display_name for s in stages
+        EDAStage(s).display_name for s in stages
     ] + ["total runtime", "min cost ($)"]
     sel_rows = []
-    for c in constraints:
-        selection = selections[c]
-        if selection is None:
-            sel_rows.append([f"{c:,.0f}"] + ["NA"] * (len(stages) + 2))
+    for row in rows:
+        cells = [f"{row['deadline_s']:,.0f}"]
+        if not row["feasible"]:
+            sel_rows.append(cells + ["NA"] * (len(stages) + 2))
             continue
-        row = [f"{c:,.0f}"]
-        for s in stages:
-            opt = selection.choices[s.stage]
-            row.append(f"{opt.vm.vcpus}v")
-        row.append(f"{selection.total_runtime:,}")
-        row.append(f"{selection.total_cost:.2f}")
-        sel_rows.append(row)
+        sel_rows.append(
+            cells
+            + [f"{row['vcpus'][s]}v" for s in stages]
+            + [f"{row['total_runtime_s']:,}", f"{row['total_cost_usd']:.2f}"]
+        )
     parts.append(
         "Recommended configuration per total-runtime constraint\n"
         + format_table(sel_headers, sel_rows)
@@ -152,13 +149,12 @@ def render_table1(
     return "\n\n".join(parts)
 
 
-def render_figure6(
-    rows: Sequence[Mapping[str, float]],
-) -> str:
-    """Figure 6: cost savings vs over-/under-provisioning per deadline.
+def render_figure6(series: Mapping) -> str:
+    """Figure 6 from :func:`repro.core.experiments.table1_figure6`'s output:
+    savings vs over-/under-provisioning per deadline and their average.
 
-    Each row needs keys ``constraint``, ``optimized``, ``over``, ``under``,
-    ``saving_over`` and ``saving_under`` (percentages).
+    The saving vs under-provisioning reads NA where under-provisioning
+    misses the deadline, as it does not count towards the average there.
     """
     headers = [
         "constraint",
@@ -168,23 +164,19 @@ def render_figure6(
         "saving vs over",
         "saving vs under",
     ]
-    table_rows = []
-    savings = []
-    for r in rows:
-        table_rows.append(
-            [
-                f"{r['constraint']:,.0f}",
-                f"{r['optimized']:.2f}",
-                f"{r['over']:.2f}",
-                f"{r['under']:.2f}",
-                f"{r['saving_over']:.1f}%",
-                f"{r['saving_under']:.1f}%",
-            ]
-        )
-        savings.extend([r["saving_over"], r["saving_under"]])
-    avg = sum(savings) / len(savings) if savings else 0.0
+    table_rows = [
+        [
+            f"{r['deadline_s']:,.0f}",
+            f"{r['total_cost_usd']:.2f}",
+            f"{series['over_provisioning_cost']:.2f}",
+            f"{series['under_provisioning_cost']:.2f}",
+            f"{r['saving_vs_over_pct']:.1f}%",
+            f"{r['saving_vs_under_pct']:.1f}%" if r["under_meets_deadline"] else "NA",
+        ]
+        for r in series["figure6"]
+    ]
     return (
         "Cost savings from the multi-choice knapsack optimization\n"
         + format_table(headers, table_rows)
-        + f"\nAverage cost saving: {avg:.2f}%"
+        + f"\nAverage cost saving: {series['average_saving_pct']:.2f}%"
     )

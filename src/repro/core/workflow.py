@@ -8,8 +8,8 @@ configuration per stage under a deadline via the MCKP solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 from ..cloud.instance import InstanceFamily
 from ..cloud.pricing import PricingTable, aws_like_catalog
@@ -18,7 +18,6 @@ from ..eda.flow import FlowRunner
 from ..eda.job import EDAStage
 from ..netlist import aig_to_graph, benchmarks, netlist_to_star_graph
 from ..netlist.aig import AIG
-from .characterize import CharacterizationReport, characterize
 from .optimize import (
     Selection,
     StageOptions,
@@ -77,14 +76,18 @@ class WorkflowOutcome:
 
 
 class CloudDeploymentWorkflow:
-    """Characterize -> predict -> optimize (Figure 1).
+    """Predict -> optimize (Figure 1), after characterization.
+
+    Step 1, characterization, is :func:`repro.core.characterize.characterize`;
+    ``families`` holds its per-stage recommendations and defaults to the
+    paper's.
 
     Parameters
     ----------
     catalog:
         Cloud pricing table.
     runner:
-        Flow runner used for characterization and dataset generation.
+        Flow runner used for dataset generation and synthesis.
     """
 
     def __init__(
@@ -94,20 +97,8 @@ class CloudDeploymentWorkflow:
     ):
         self.catalog = catalog if catalog is not None else aws_like_catalog()
         self.runner = runner if runner is not None else FlowRunner()
-        self.characterization: Optional[CharacterizationReport] = None
         self.families: Mapping[EDAStage, InstanceFamily] = RECOMMENDED_FAMILY
         self.predictors: Optional[PredictorSuite] = None
-
-    # -- step 1 ----------------------------------------------------------
-    def run_characterization(
-        self, design: str = "sparc_core", scale: float = 1.5, sample_rate: int = 2
-    ) -> CharacterizationReport:
-        """Problem 1: measure counters, derive per-stage family choices."""
-        self.characterization = characterize(
-            design, scale=scale, sample_rate=sample_rate, runner=self.runner
-        )
-        self.families = self.characterization.recommended_families()
-        return self.characterization
 
     # -- step 2 ----------------------------------------------------------
     def train_runtime_models(

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.core.experiments import run_figure2, run_figure3, run_table1_figure6
+from repro.core.experiments import (
+    FIGURE5_BINS,
+    run_figure2,
+    run_figure3,
+    run_figure5,
+    run_table1_figure6,
+)
+from repro.core.predict import DatasetSpec, build_datasets
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +50,35 @@ class TestFigure3Runner:
         json.dumps(out)
 
 
+class TestFigure5Runner:
+    def test_series(self):
+        datasets = build_datasets(DatasetSpec(variants_per_design=1, scale=0.1))
+        out = run_figure5(datasets, epochs=2, lr=1e-3)
+        assert out["bins"] == list(FIGURE5_BINS)
+        assert set(out["stages"]) == {"synthesis", "placement", "routing", "sta"}
+        assert out["stages"]["synthesis"]["model"] == "AIG"
+        for series in out["stages"].values():
+            assert len(series["histogram"]) == len(FIGURE5_BINS) - 1
+            assert series["test_error"] > 0 and series["baseline_error"] > 0
+            assert series["first_loss"] > 0 and series["last_loss"] > 0
+        json.dumps(out)
+
+
 class TestTable1Runner:
-    def test_menu_and_selections(self, fig2):
-        # reuse the router characterization through an explicit report
+    def test_menu_and_selections(self):
         from repro.core.characterize import characterize
 
         report = characterize("router", scale=0.6, sample_rate=8)
-        out = run_table1_figure6(report=report, num_deadlines=4)
+        out = run_table1_figure6(report)
         assert set(out["menu"]) == {"synthesis", "placement", "routing", "sta"}
-        feasible = [r for r in out["selections"] if r["feasible"]]
-        infeasible = [r for r in out["selections"] if not r["feasible"]]
+        feasible = [r for r in out["table1"] if r["feasible"]]
+        infeasible = [r for r in out["table1"] if not r["feasible"]]
         assert feasible and infeasible
         assert out["over_provisioning_cost"] > 0
-        assert -100 <= out["average_saving_pct"] <= 100  # tiny designs near tight deadlines can dip negative vs under-provisioning
+        # The sweep runs fastest -> slowest inclusive, so the relaxed end
+        # is the one deadline under-provisioning meets.
+        assert out["figure6"][0]["deadline_s"] == out["fastest_s"]
+        assert out["figure6"][-1]["deadline_s"] == out["slowest_s"]
+        assert out["figure6"][-1]["under_meets_deadline"]
+        assert out["average_saving_pct"] >= 0
         json.dumps(out)

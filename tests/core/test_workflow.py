@@ -4,7 +4,8 @@ import pytest
 
 from repro.cloud import InstanceFamily
 from repro.core import report as report_mod
-from repro.core.optimize import build_stage_options, solve_mckp_dp
+from repro.core.experiments import table1_figure6
+from repro.core.optimize import build_stage_options
 from repro.core.workflow import CloudDeploymentWorkflow
 from repro.eda.job import EDAStage
 
@@ -52,28 +53,33 @@ class TestOptimizeDeployment:
 
 class TestReportRenderers:
     def test_render_table1(self):
-        stages = build_stage_options(STAGE_RUNTIMES)
-        constraints = [10000, 6000, 1000]
-        selections = {c: solve_mckp_dp(stages, c) for c in constraints}
-        text = report_mod.render_table1(stages, constraints, selections)
+        series = table1_figure6(
+            build_stage_options(STAGE_RUNTIMES), deadlines=[10000, 6000, 1000]
+        )
+        text = report_mod.render_table1(series["menu"], series["table1"])
         assert "Synthesis" in text
         assert "NA" in text  # the infeasible row
         assert "Runtime (sec) per configuration" in text
 
     def test_render_figure6(self):
-        rows = [
-            dict(
-                constraint=10000,
-                optimized=0.41,
-                over=0.75,
-                under=0.54,
-                saving_over=45.3,
-                saving_under=24.1,
-            )
-        ]
-        text = report_mod.render_figure6(rows)
-        assert "Average cost saving" in text
+        series = dict(
+            over_provisioning_cost=0.75,
+            under_provisioning_cost=0.54,
+            average_saving_pct=34.7,
+            figure6=[
+                dict(
+                    deadline_s=10000,
+                    total_cost_usd=0.41,
+                    saving_vs_over_pct=45.3,
+                    saving_vs_under_pct=24.1,
+                    under_meets_deadline=False,
+                )
+            ],
+        )
+        text = report_mod.render_figure6(series)
+        assert "Average cost saving: 34.70%" in text
         assert "45.3%" in text
+        assert "24.1%" not in text  # under-provisioning misses the deadline
 
     def test_render_figure5(self):
         text = report_mod.render_figure5(

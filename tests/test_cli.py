@@ -97,6 +97,31 @@ class TestCommands:
         assert "Recommended configuration" in out
         assert "saves" in out
 
+    def test_predict_saves_loadable_models(self, capsys, tmp_path):
+        from repro.core.persistence import load_suite
+        from repro.eda.job import EDAStage
+
+        path = tmp_path / "models.npz"
+        code = main(
+            [
+                "predict",
+                "--variants",
+                "1",
+                "--dataset-scale",
+                "0.1",
+                "--epochs",
+                "2",
+                "--save",
+                str(path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        accuracy = [line.split() for line in out.splitlines() if " accuracy " in line]
+        assert [words[0] for words in accuracy] == [s.value for s in EDAStage.ordered()]
+        assert f"models saved to {path}" in out
+        assert set(load_suite(str(path)).predictors) == set(EDAStage.ordered())
+
 
 class TestVerifyCommand:
     def test_parser_defaults(self):
