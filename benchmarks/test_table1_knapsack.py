@@ -46,13 +46,34 @@ def test_table1_selections(table1_figure6):
         assert boundary["vcpus"][stage] == fastest_vcpus
 
 
+def _escalates_selectively(feasible):
+    """True when some adjacent pair of rows (sorted by deadline) escalates
+    a non-empty *strict* subset of stages: more vCPUs at the tighter
+    deadline for some stages, but not for all of them."""
+    for tight, loose in zip(feasible, feasible[1:]):
+        vcpus = tight["vcpus"]
+        escalated = [s for s in vcpus if vcpus[s] > loose["vcpus"][s]]
+        if 0 < len(escalated) < len(vcpus):
+            return True
+    return False
+
+
 def test_table1_escalation_is_selective(table1_figure6):
     """Tightening the deadline escalates *some* stages, not all at once —
     the behaviour the paper highlights in Table I."""
-    feasible = _feasible_rows(table1_figure6)
-    vcpus_loose = feasible[-1]["vcpus"]
-    vcpus_mid = feasible[len(feasible) // 2]["vcpus"]
-    assert any(vcpus_mid[s] > vcpus_loose[s] for s in vcpus_mid) or vcpus_mid == vcpus_loose
+    assert _escalates_selectively(_feasible_rows(table1_figure6))
+
+
+def test_escalation_check_rejects_all_at_once():
+    stages = ("synthesis", "placement", "routing", "sta")
+    rows = [
+        {"deadline_s": 100.0, "vcpus": {s: 8 for s in stages}},
+        {"deadline_s": 200.0, "vcpus": {s: 2 for s in stages}},
+        {"deadline_s": 300.0, "vcpus": {s: 2 for s in stages}},
+    ]
+    assert not _escalates_selectively(rows)
+    rows[1]["vcpus"]["sta"] = 8
+    assert _escalates_selectively(rows)
 
 
 def test_table1_dp_is_optimal(paper_stage_options, table1_figure6):

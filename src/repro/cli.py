@@ -19,9 +19,6 @@ Exposes the paper's workflow as terminal commands:
   the fault-injecting executor (spot preemptions, boot failures, retry
   with backoff, on-demand fallback, mid-flight re-planning) and print
   the replayable execution trace.
-* ``repro chaos``        — chaos harness: seeded executor fuzz plus the
-  Monte-Carlo convergence check against the closed-form spot model;
-  exits non-zero on any oracle violation.
 * ``repro trace``        — run a workload (flow or plan execution) under
   the observability tracer and print/export the hierarchical span tree
   (text, JSON, or Chrome ``chrome://tracing`` format) plus metrics.
@@ -217,54 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exec.add_argument(
         "--trace", action="store_true", help="print the full event trace"
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="chaos harness: executor fuzz + convergence to the spot model",
-    )
-    p_chaos.add_argument(
-        "--trials", type=int, default=50,
-        help="fuzz trials per chaos oracle (0: convergence check only)",
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0, help="base seed (same seed = same report)"
-    )
-    p_chaos.add_argument(
-        "--convergence-trials",
-        type=int,
-        default=500,
-        help="Monte-Carlo trials for the headline convergence check",
-    )
-    p_chaos.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="run a named correlated-fault suite instead of the fuzz "
-        "harness: az_reclaim_storm, noisy_region, regime_flap, "
-        "transfer_partition, or 'all'",
-    )
-    p_chaos.add_argument(
-        "--severity", type=float, action="append", default=None,
-        metavar="S",
-        help="severity level(s) in [0, 1] for --scenario (repeatable; "
-        "default: 0 0.5 1.0)",
-    )
-    p_chaos.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write the byte-stable scenario trace dump here (CI runs "
-        "each scenario twice and cmp's the dumps)",
-    )
-    p_chaos.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="append chaos.scenario records to this run store "
-        "(only with --scenario)",
-    )
-    p_chaos.add_argument(
-        "--timestamp", default=None, metavar="ISO8601",
-        help="UTC timestamp stamped on persisted records (default: now)",
-    )
-    p_chaos.add_argument(
-        "--rev", default=None,
-        help="revision label for persisted records (default: git rev)",
     )
 
     p_trace = sub.add_parser(
@@ -755,111 +704,6 @@ def _record_timestamp(args) -> str:
     from datetime import datetime, timezone
 
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _cmd_chaos_scenario(args) -> int:
-    from .chaos import (
-        SCENARIOS,
-        run_scenario,
-        scenario_names,
-        scenario_to_run,
-    )
-
-    names = scenario_names() if args.scenario == "all" else (args.scenario,)
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        print(
-            f"unknown scenario(s): {', '.join(unknown)}; known: "
-            f"{', '.join(scenario_names())} (or 'all')",
-            file=sys.stderr,
-        )
-        return 2
-    severities = args.severity if args.severity else [0.0, 0.5, 1.0]
-    bad = [s for s in severities if not 0.0 <= s <= 1.0]
-    if bad:
-        print(f"--severity must be in [0, 1], got {bad}", file=sys.stderr)
-        return 2
-
-    results = []
-    for name in names:
-        print(f"{name}: {SCENARIOS[name].description}")
-        for severity in severities:
-            result = run_scenario(name, severity=severity, seed=args.seed)
-            print(f"  {result.summary()}")
-            results.append(result)
-    violated = [r for r in results if not r.within_bounds]
-
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            for result in results:
-                handle.write(result.trace_dump())
-        print(f"trace dump written to {args.trace_out}")
-    if args.store:
-        from .obs.store import RunStore, git_rev
-
-        timestamp = _record_timestamp(args)
-        rev = args.rev or git_rev()
-        store = RunStore(args.store)
-        for result in results:
-            store.append(scenario_to_run(result, rev, timestamp))
-        print(
-            f"{len(results)} chaos.scenario records appended to {store.path}"
-        )
-
-    if violated:
-        print(
-            f"FAIL: {len(violated)} scenario run(s) exceeded the "
-            f"degradation bound"
-        )
-        return 1
-    print(
-        f"PASS: {len(results)} scenario runs within their degradation bounds"
-    )
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    from .cloud.spot import spot_expected_runtime
-    from .verify import convergence_violations, run_fuzz
-
-    if args.scenario is not None:
-        return _cmd_chaos_scenario(args)
-    fuzz_ok = True
-    if args.trials != 0:
-        report = run_fuzz(
-            oracle_names=["executor", "chaos"],
-            trials=args.trials,
-            seed=args.seed,
-            progress=print,
-        )
-        print(report.render())
-        fuzz_ok = report.ok
-    # Headline convergence check at the preemption-heavy profile: the
-    # executor's mean completion time must match the closed form.
-    heavy = FAULT_PROFILES["heavy"]()
-    runtime = 900.0
-    violations = convergence_violations(
-        runtime,
-        heavy.spot_interrupt_rate_per_hour,
-        heavy.checkpoint_interval_seconds,
-        trials=args.convergence_trials,
-        seed=args.seed,
-    )
-    expected = spot_expected_runtime(
-        runtime,
-        heavy.spot_interrupt_rate_per_hour,
-        heavy.checkpoint_interval_seconds,
-    )
-    if violations:
-        print(f"convergence (heavy profile, E[T]={expected:.1f}s): FAIL")
-        for message in violations:
-            print(f"  {message}")
-    else:
-        print(
-            f"convergence (heavy profile, {args.convergence_trials} trials): "
-            f"mean matches E[T]={expected:.1f}s within 5%"
-        )
-    return 0 if fuzz_ok and not violations else 1
 
 
 def _bench_plan(runtimes: Dict[EDAStage, float]) -> DeploymentPlan:
@@ -1363,7 +1207,6 @@ _COMMANDS = {
     "benchmarks": _cmd_benchmarks,
     "verify": _cmd_verify,
     "execute": _cmd_execute,
-    "chaos": _cmd_chaos,
     "trace": _cmd_trace,
     "profile": _cmd_profile,
     "report": _cmd_report,

@@ -35,10 +35,6 @@ class EventKind(str, enum.Enum):
     STRAGGLER = "straggler"
     CHECKPOINT = "checkpoint"
     PREEMPTION = "preemption"
-    AZ_RECLAIM = "az_reclaim"
-    REGIME_SHIFT = "regime_shift"
-    REGION_FAILOVER = "region_failover"
-    TRANSFER = "transfer"
     TIMEOUT = "timeout"
     FALLBACK = "fallback"
     REPLAN = "replan"

@@ -11,8 +11,8 @@ and some hosts straggle.  Robustness policy is first-class:
   deterministic seeded jitter.
 * **Checkpoint/resume** — spot preemptions lose only the work since the
   last checkpoint, with semantics identical to
-  :func:`~repro.cloud.spot.spot_expected_runtime` (the chaos harness
-  asserts the simulated mean converges to that closed form).
+  :func:`~repro.cloud.spot.spot_expected_runtime` (the ``convergence``
+  oracle asserts the simulated mean converges to that closed form).
 * **Graceful degradation** — after ``max_preemptions_per_stage``
   reclaims (or a blown per-stage timeout budget derived from the plan's
   deadline slack), a spot stage falls back to its on-demand twin and the
@@ -291,7 +291,7 @@ class PlanExecutor:
         stage_options: Optional[Sequence],
         record_events: bool,
     ) -> ExecutionResult:
-        injector = self._make_injector(seed)
+        injector = FaultInjector(self.profile, seed)
         trace = ExecutionTrace(seed=seed, enabled=record_events)
         result = ExecutionResult(
             plan=plan, deadline_seconds=deadline_seconds, seed=seed, trace=trace
@@ -368,15 +368,6 @@ class PlanExecutor:
         return result
 
     # -- internals --------------------------------------------------------
-    def _make_injector(self, seed: int) -> FaultInjector:
-        """Build the fault source for one execution.
-
-        Called exactly once per ``execute``, so subclasses can both swap
-        in a richer injector (the chaos engine's correlated processes)
-        and reset any per-run state here.
-        """
-        return FaultInjector(self.profile, seed)
-
     def _timeout_budgets(
         self,
         assignments: Sequence[StageAssignment],
@@ -415,9 +406,9 @@ class PlanExecutor:
         attempt = 0
         while True:
             failure: Optional[EventKind] = None
-            if injector.boot_fails(stage_key, attempt, now=t):
+            if injector.boot_fails(stage_key, attempt):
                 failure = EventKind.BOOT_FAILURE
-            elif injector.api_errors(stage_key, attempt, now=t):
+            elif injector.api_errors(stage_key, attempt):
                 failure = EventKind.API_ERROR
             if failure is None:
                 rec.attempts = attempt + 1
@@ -520,40 +511,6 @@ class PlanExecutor:
             price_per_hour=vm.price_per_hour / self.policy.spot_discount,
         )
 
-    def _note_preemption(
-        self,
-        a: StageAssignment,
-        t: float,
-        rec: StageRecord,
-        injector: FaultInjector,
-        trace: ExecutionTrace,
-        result: ExecutionResult,
-    ) -> None:
-        """Hook invoked right after each PREEMPTION event is recorded.
-
-        The base executor's preemptions carry no extra structure; the
-        chaos engine attributes them (AZ-wide reclaim vs regime storm)
-        by recording follow-up events here.
-        """
-
-    def _fallback_target(
-        self,
-        a: StageAssignment,
-        t: float,
-        rec: StageRecord,
-        injector: FaultInjector,
-        trace: ExecutionTrace,
-        result: ExecutionResult,
-        stage_options: Optional[Sequence],
-    ) -> VMConfig:
-        """Pick the VM a degraded spot stage finishes on.
-
-        The base policy is the same-region on-demand twin; the chaos
-        engine overrides this to fail over across regions (with transfer
-        billing) when the home region is inside a storm.
-        """
-        return self._on_demand_twin(a.vm, a.stage, stage_options)
-
     def _run_stage(
         self,
         a: StageAssignment,
@@ -578,7 +535,7 @@ class PlanExecutor:
             t = self._provision(a, t, injector, trace, rec)
             attempt = rec.attempts - 1
 
-            factor = injector.straggler_factor(stage_key, attempt, now=t)
+            factor = injector.straggler_factor(stage_key, attempt)
             effective = a.runtime_seconds * factor
             if factor > 1.0:
                 trace.record(
@@ -655,7 +612,7 @@ class PlanExecutor:
         remaining = effective
         while remaining > _WORK_EPS:
             segment = remaining if interval is None else min(interval, remaining)
-            draw = injector.time_to_preemption(stage_key, attempt, now=t)
+            draw = injector.time_to_preemption(stage_key, attempt)
             if draw >= segment:
                 t += segment
                 self._bill(result, trace, t, stage_key, a.vm, segment, rec)
@@ -685,7 +642,6 @@ class PlanExecutor:
                 count=rec.preemptions,
                 sim_time=t,
             )
-            self._note_preemption(a, t, rec, injector, trace, result)
             timed_out = budget is not None and (t - stage_t0) > budget
             if timed_out:
                 trace.record(
@@ -696,9 +652,7 @@ class PlanExecutor:
                     EventKind.TIMEOUT.value, stage=stage_key, sim_time=t
                 )
             if timed_out or (cap is not None and rec.preemptions >= cap):
-                od = self._fallback_target(
-                    a, t, rec, injector, trace, result, stage_options
-                )
+                od = self._on_demand_twin(a.vm, a.stage, stage_options)
                 trace.record(
                     t, EventKind.FALLBACK, stage=stage_key, vm=od.name,
                     reason="timeout" if timed_out else "preemptions",
@@ -796,9 +750,9 @@ def simulate_spot_completion_times(
 
     Runs ``trials`` independent seeded executions of a single-stage spot
     plan with unbounded policy (no fallback, no timeout) and returns each
-    run's wall-clock — the chaos harness compares their mean against
-    :func:`~repro.cloud.spot.spot_expected_runtime`.  Lean mode: traces
-    and billed-segment objects are not materialized.
+    run's wall-clock — the ``convergence`` oracle compares their mean
+    against :func:`~repro.cloud.spot.spot_expected_runtime`.  Lean mode:
+    traces and billed-segment objects are not materialized.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -110,7 +110,7 @@ class FaultProfile:
 
     @classmethod
     def preemption_heavy(cls) -> "FaultProfile":
-        """A volatile spot pool — the chaos-harness default."""
+        """A volatile spot pool — the ``convergence`` check's anchor."""
         return cls(
             spot_interrupt_rate_per_hour=2.0,
             boot_failure_prob=0.05,
@@ -123,8 +123,8 @@ class FaultProfile:
     @classmethod
     def storm(cls) -> "FaultProfile":
         """A full-blown capacity storm: reclaim rates an order of magnitude
-        past ``preemption_heavy`` with aggressive checkpointing — the
-        full-severity anchor of the correlated chaos scenarios."""
+        past ``preemption_heavy`` with aggressive checkpointing — what the
+        ``fleet_replan`` benchmark executes under."""
         return cls(
             spot_interrupt_rate_per_hour=12.0,
             boot_failure_prob=0.15,
@@ -167,29 +167,22 @@ class FaultInjector:
             self._streams[key] = rng
         return rng
 
-    def boot_fails(self, stage: str, attempt: int, now: float = 0.0) -> bool:
-        """``now`` is the simulation clock — unused by the base Poisson
-        model, but time-correlated subclasses (boot-failure waves, regime
-        switching) key their hazards on it."""
+    def boot_fails(self, stage: str, attempt: int) -> bool:
         p = self.profile.boot_failure_prob
         return p > 0 and self.stream("boot", stage, attempt).random() < p
 
-    def api_errors(self, stage: str, attempt: int, now: float = 0.0) -> bool:
+    def api_errors(self, stage: str, attempt: int) -> bool:
         p = self.profile.api_error_prob
         return p > 0 and self.stream("api", stage, attempt).random() < p
 
-    def straggler_factor(
-        self, stage: str, attempt: int, now: float = 0.0
-    ) -> float:
+    def straggler_factor(self, stage: str, attempt: int) -> float:
         """Runtime multiplier for this stage attempt (1.0 = healthy host)."""
         p = self.profile.straggler_prob
         if p > 0 and self.stream("straggler", stage, attempt).random() < p:
             return self.profile.straggler_slowdown
         return 1.0
 
-    def time_to_preemption(
-        self, stage: str, attempt: int, now: float = 0.0
-    ) -> float:
+    def time_to_preemption(self, stage: str, attempt: int) -> float:
         """Seconds from segment start to the next spot reclaim (may be inf).
 
         Exponential with the profile's hourly rate; by memorylessness a

@@ -1,4 +1,4 @@
-"""Fleet-scale continuous capacity planning (DESIGN.md §15).
+"""Fleet-scale continuous capacity planning (DESIGN.md §14).
 
 The paper's Problem 3 plans one flow at a time; this package plans whole
 fleets.  :mod:`~repro.fleet.planner` batches MCKP solves with DP-table

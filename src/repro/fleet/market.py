@@ -4,8 +4,8 @@ Real spot pools reprice continuously; a fleet planner that caches DP
 tables must notice.  :class:`SpotMarketFeed` emits deterministic price
 ticks — a clamped geometric random walk per pool, drawn from the same
 crc32 ``(seed, purpose, key)`` stream construction as
-:mod:`repro.chaos` — and reprices the spot twins in a stage menu to the
-tick's discount.  The walk path is extended lazily but append-only, so
+:class:`~repro.cloud.faults.FaultInjector` — and reprices the spot
+twins in a stage menu to the tick's discount.  The walk path is extended lazily but append-only, so
 any query order observes the same prefix and the whole feed replays
 byte-for-byte from its seed.
 

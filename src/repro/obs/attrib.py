@@ -17,13 +17,13 @@ the fixed :data:`BUCKETS`:
     Non-``execute`` children of the ``service.job`` span —
     characterization flows, MCKP solves, fleet planning.
 ``execution``
-    The executor's ``execute`` spans, *minus* the fault and transfer
+    The executor's ``execute`` spans, *minus* the fault and checkpoint
     instants accounted below.
 ``fault_retry``
     Fault-handling instants inside the execute subtree (boot failures,
     backoff, preemptions, fallbacks, re-plans, ...), one clock tick each.
 ``checkpoint_transfer``
-    Checkpoint/transfer instants (cross-region checkpoint moves).
+    Checkpoint instants (the name is kept so records keep their shape).
 ``dispatch``
     Everything the service spent *around* the runner — worker pickup,
     scoped-registry setup, the terminal-transition edge.  Computed as
@@ -68,8 +68,8 @@ BUCKETS = (
 )
 
 #: Span-event names that count as fault/retry overhead.  These are the
-#: instants the executor and the chaos engine emit while *handling* a
-#: fault rather than making forward progress.
+#: instants the executor emits while *handling* a fault rather than
+#: making forward progress.
 FAULT_EVENTS = frozenset(
     {
         "boot_failure",
@@ -82,14 +82,12 @@ FAULT_EVENTS = frozenset(
         "fallback",
         "replan",
         "flow_fail",
-        "az_reclaim",
-        "regime_shift",
-        "region_failover",
     }
 )
 
-#: Span-event names that count as checkpoint/transfer overhead.
-TRANSFER_EVENTS = frozenset({"checkpoint", "transfer"})
+#: Span-event names that count as checkpoint overhead (the bucket keeps
+#: its ``checkpoint_transfer`` name so attribution records keep their shape).
+TRANSFER_EVENTS = frozenset({"checkpoint"})
 
 
 class AttributionError(ValueError):

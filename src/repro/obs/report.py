@@ -36,7 +36,6 @@ from .store import (
     merged_histogram,
     metric_names,
     metric_series,
-    metric_value,
 )
 
 __all__ = [
@@ -44,12 +43,10 @@ __all__ = [
     "RegressionFlag",
     "MetricRow",
     "HistogramRow",
-    "ScenarioRow",
     "RunReport",
     "sparkline",
     "mad_outlier",
     "deterministic_drift",
-    "scenario_rows",
     "build_report",
     "render_text",
     "render_html",
@@ -69,12 +66,6 @@ DETERMINISTIC_METRICS: Tuple[str, ...] = (
     # which transitively pins the SLO engine's deadline-hit-rate input.
     "service.job.met_deadline",
     "service.job.deadline_seconds",
-    # Chaos scenarios: one (scenario, seed, severity) cell is one run of
-    # a deterministic discrete-event simulation — exact replay required.
-    "chaos.scenario.total_cost",
-    "chaos.scenario.sim_seconds",
-    "chaos.scenario.overrun_time",
-    "chaos.scenario.overrun_cost",
 )
 
 #: Robust-z threshold for MAD outlier flags.
@@ -116,23 +107,12 @@ class HistogramRow:
 
 
 @dataclass
-class ScenarioRow:
-    """One chaos scenario's severity-vs-overrun sweep (latest runs)."""
-
-    name: str
-    severities: List[float]
-    time_overruns: List[float]
-    cost_overruns: List[float]
-
-
-@dataclass
 class RunReport:
     """Everything the renderers need, regression verdict included."""
 
     runs: List[RunRecord]
     rows: List[MetricRow] = field(default_factory=list)
     histogram_rows: List[HistogramRow] = field(default_factory=list)
-    scenario_sweeps: List[ScenarioRow] = field(default_factory=list)
     drift: List[RegressionFlag] = field(default_factory=list)
     window: int = 8
     #: SLO evaluation over the same runs, when a spec was supplied.
@@ -210,39 +190,6 @@ def mad_outlier(
             f"{median:.6g} (window {len(baseline)})"
         )
     return None
-
-
-def scenario_rows(runs: Sequence[RunRecord]) -> List[ScenarioRow]:
-    """Per-scenario severity sweeps from ``chaos.scenario`` records.
-
-    For each scenario, the *latest* record per severity wins (the store
-    is append-only, so reruns supersede), and the sweep is sorted by
-    severity — the natural x-axis of a graceful-degradation curve.
-    """
-    cells: Dict[str, Dict[float, Tuple[float, float]]] = {}
-    for record in runs:
-        if record.kind != "chaos.scenario":
-            continue
-        name = str(
-            record.labels.get("scenario", record.labels.get("design", "?"))
-        )
-        time_overrun = metric_value(record, "chaos.scenario.overrun_time")
-        cost_overrun = metric_value(record, "chaos.scenario.overrun_cost")
-        if time_overrun is None or cost_overrun is None:
-            continue
-        cells.setdefault(name, {})[record.scale] = (time_overrun, cost_overrun)
-    out: List[ScenarioRow] = []
-    for name in sorted(cells):
-        severities = sorted(cells[name])
-        out.append(
-            ScenarioRow(
-                name=name,
-                severities=severities,
-                time_overruns=[cells[name][s][0] for s in severities],
-                cost_overruns=[cells[name][s][1] for s in severities],
-            )
-        )
-    return out
 
 
 def _group_key(record: RunRecord) -> Tuple:
@@ -355,7 +302,6 @@ def build_report(
             )
         )
 
-    report.scenario_sweeps = scenario_rows(runs)
     report.drift = deterministic_drift(runs, metrics=deterministic_metrics)
     return report
 
@@ -392,19 +338,6 @@ def render_text(report: RunReport, store_path: str = "") -> str:
                 f"{k}={v:.6g}" for k, v in sorted(hist.percentiles.items())
             )
             lines.append(f"  {hist.name:<42} n={hist.count:<6} {ps}")
-    if report.scenario_sweeps:
-        lines.append(
-            "chaos scenarios (overrun vs severity, latest run per severity)"
-        )
-        for sweep in report.scenario_sweeps:
-            sev = "/".join(f"{s:g}" for s in sweep.severities)
-            lines.append(
-                f"  {sweep.name:<22} sev {sev:<14} "
-                f"time {sparkline(sweep.time_overruns)} "
-                f"+{sweep.time_overruns[-1]:,.1f}s  "
-                f"cost {sparkline(sweep.cost_overruns)} "
-                f"+${sweep.cost_overruns[-1]:.4f}"
-            )
     if report.slo is not None:
         lines.extend(report.slo.render())
     if report.drift:
@@ -602,25 +535,6 @@ def render_html(report: RunReport, store_path: str = "") -> str:
                     for key in ("p50", "p90", "p99")
                 )
                 + "</tr>"
-            )
-        parts.append("</table>")
-
-    if report.scenario_sweeps:
-        parts.append("<h2>Chaos scenarios</h2><table>")
-        parts.append(
-            "<tr><th>scenario</th><th>severities</th>"
-            "<th>time overrun</th><th>last</th>"
-            "<th>cost overrun</th><th>last</th></tr>"
-        )
-        for sweep in report.scenario_sweeps:
-            sev = "/".join(f"{s:g}" for s in sweep.severities)
-            parts.append(
-                f"<tr><td>{_escape(sweep.name)}</td>"
-                f"<td>{_escape(sev)}</td>"
-                f"<td>{_spark_svg(sweep.time_overruns)}</td>"
-                f'<td class="num">+{sweep.time_overruns[-1]:,.1f}s</td>'
-                f"<td>{_spark_svg(sweep.cost_overruns)}</td>"
-                f'<td class="num">+${sweep.cost_overruns[-1]:.4f}</td></tr>'
             )
         parts.append("</table>")
 

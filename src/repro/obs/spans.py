@@ -252,7 +252,7 @@ class Tracer:
         Spans inherit their trace id from the parent span first, then
         from the innermost active binding, so binding around a job's
         whole execution stitches every component's spans (service,
-        planner, executor, chaos) into one end-to-end trace.  Passing
+        planner, executor) into one end-to-end trace.  Passing
         ``None`` (or using a disabled tracer) is a no-op.
         """
         if not self.enabled or trace_id is None:
@@ -269,10 +269,6 @@ class Tracer:
         """The innermost trace binding on this thread, if any."""
         stack = self._trace_stack()
         return stack[-1] if stack else None
-
-    def spans_for_trace(self, trace_id: str) -> List[Span]:
-        """All spans stitched into ``trace_id``, in allocation order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
 
     def open_stack(self) -> List[Span]:
         """Copy of this thread's open-span stack, outermost first."""
@@ -347,9 +343,6 @@ class Tracer:
             self.orphan_events.append(SpanEvent(name=name, time=now, tags=tags))
 
     # -- inspection -------------------------------------------------------
-    def finished_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.finished]
-
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 

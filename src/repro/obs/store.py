@@ -2,7 +2,7 @@
 
 The store answers "what has ``executor.billed_cost`` done over the last
 twenty runs": every persisted run — service sessions and their jobs,
-chaos scenarios, or anything else — appends one JSON line to
+executor runs, or anything else — appends one JSON line to
 ``benchmarks/runs/runs.jsonl``, and :mod:`repro.obs.report` draws its
 time series, percentile summaries, and regression flags from it.
 

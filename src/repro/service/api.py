@@ -192,7 +192,7 @@ class EDAService:
 
     def evict(self, job_id: str, reason: str = "external") -> dict:
         """Cancel a job because something *outside* the service took its
-        capacity (an AZ reclaim, a chaos storm striking its zone).
+        capacity (an AZ reclaim, a spot storm striking its zone).
 
         Queued jobs go terminal immediately; running jobs observe the
         eviction at their next cooperative checkpoint as

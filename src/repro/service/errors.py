@@ -17,7 +17,7 @@ Three extra exceptions — :class:`JobCancelled`, :class:`JobEvicted` and
 them at cooperative checkpoints and the worker pool converts them into
 the ``cancelled`` / ``timed_out`` terminal states instead of error
 documents.  :class:`JobEvicted` (a :class:`JobCancelled` subtype) marks
-cancellation by an *external* event — an AZ reclaim, a chaos storm —
+cancellation by an *external* event — an AZ reclaim, a spot storm —
 rather than a client request; unlike a client cancel it leaves a
 forensic crash dump and is eligible for automatic requeueing.
 """
@@ -138,8 +138,8 @@ class JobEvicted(JobCancelled):
     """Control flow: the job was cancelled by an *external* event.
 
     Raised at cooperative checkpoints once ``Job.external_cancel`` is
-    set (a spot reclaim took the worker's capacity, a chaos scenario
-    struck the job's zone).  The pool still lands the job in the
+    set (a spot reclaim took the worker's capacity, or an outage struck
+    the job's zone).  The pool still lands the job in the
     ``cancelled`` terminal state and always releases its slot, but —
     unlike a client cancel — it also writes the per-job crash dump and
     the service may requeue the job.

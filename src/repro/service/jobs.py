@@ -148,7 +148,7 @@ class Job:
     requeue_of: Optional[str] = None
     #: Deterministic end-to-end trace id minted by the service at
     #: admission (:func:`repro.obs.spans.mint_trace_id`); every span the
-    #: job's execution opens — service, planner, executor, chaos — is
+    #: job's execution opens — service, planner, executor — is
     #: stitched under it.  Requeued incarnations get fresh trace ids.
     trace_id: Optional[str] = None
     #: Per-job metric snapshot (``MetricsSnapshot.to_dict()``), recorded
@@ -238,7 +238,7 @@ def job_to_run(
     The record's ``kind`` is ``service.job`` and its labels carry the
     lifecycle (state, priority, client, pipeline kind, history), so the
     dashboard can group and drift-check per-job billing counters the
-    same way it gates chaos scenario runs.  ``attribution`` (an
+    same way it gates executor runs.  ``attribution`` (an
     :meth:`repro.obs.attrib.Attribution.to_dict` document) rides along in
     the labels when the caller computed one, and jobs that executed a
     plan surface their deadline verdict as ``labels["met_deadline"]`` —

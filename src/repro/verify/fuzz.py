@@ -86,8 +86,8 @@ def _executor_trial(rng: random.Random) -> List[str]:
     )
 
 
-def _chaos_trial(rng: random.Random) -> List[str]:
-    runtime, rate, interval = generators.random_chaos_params(rng)
+def _convergence_trial(rng: random.Random) -> List[str]:
+    runtime, rate, interval = generators.random_convergence_params(rng)
     return oracles.convergence_violations(
         runtime, rate, interval, trials=500, seed=rng.randrange(1 << 30)
     )
@@ -105,11 +105,6 @@ def _obs_trial(rng: random.Random) -> List[str]:
 def _service_trial(rng: random.Random) -> List[str]:
     requests, workers, depth = generators.random_service_case(rng)
     return oracles.service_violations(requests, workers, depth)
-
-
-def _scenario_trial(rng: random.Random) -> List[str]:
-    name, severity, seed = generators.random_scenario_case(rng)
-    return oracles.chaos_scenario_violations(name, severity, seed)
 
 
 def _fleet_trial(rng: random.Random) -> List[str]:
@@ -135,10 +130,9 @@ ORACLES: Dict[str, Callable[[random.Random], List[str]]] = {
     "cuts": _cuts_trial,
     "spot": _spot_trial,
     "executor": _executor_trial,
-    "chaos": _chaos_trial,
+    "convergence": _convergence_trial,
     "obs": _obs_trial,
     "service": _service_trial,
-    "scenario": _scenario_trial,
     "fleet": _fleet_trial,
     "attrib": _attrib_trial,
     "slo": _slo_trial,
@@ -260,7 +254,7 @@ class FuzzReport:
         for report in self.oracles:
             status = "ok" if report.ok else f"{len(report.failures)} FAILING"
             lines.append(
-                f"  {report.name:<10} {report.trials:>6} trials   {status}"
+                f"  {report.name:<11} {report.trials:>6} trials   {status}"
             )
             for failure in report.failures:
                 dump = (

@@ -37,9 +37,8 @@ __all__ = [
     "random_fault_profile",
     "random_execution_policy",
     "random_execution_case",
-    "random_chaos_params",
+    "random_convergence_params",
     "random_service_case",
-    "random_scenario_case",
     "random_fleet_case",
 ]
 
@@ -161,7 +160,7 @@ def random_spot_params(
 
 
 def random_fault_profile(rng: random.Random) -> FaultProfile:
-    """Random fault rates spanning calm pools to outright chaos.
+    """Random fault rates spanning calm pools to outright storms.
 
     The fuzzed stage runtimes are tens of seconds, so preemption rates go
     up to hundreds per hour — that is what makes the K-preemption fallback
@@ -247,7 +246,7 @@ def random_execution_case(rng: random.Random):
     return plan, deadline, profile, policy, seed, menus
 
 
-def random_chaos_params(
+def random_convergence_params(
     rng: random.Random,
 ) -> Tuple[float, float, Optional[float]]:
     """Random (runtime, rate, checkpoint interval) for the convergence oracle.
@@ -339,17 +338,3 @@ def random_fleet_case(rng: random.Random):
             )
         )
     return menus, flows
-
-
-def random_scenario_case(rng: random.Random):
-    """One chaos-scenario fuzz case: ``(name, severity, seed)``.
-
-    Severity 0 appears occasionally so the fuzz pool keeps hammering the
-    zero-severity anchor; otherwise it spreads over (0, 1].
-    """
-    from ..chaos import scenario_names
-
-    name = rng.choice(scenario_names())
-    severity = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
-    seed = rng.randrange(1 << 16)
-    return name, severity, seed

@@ -71,7 +71,6 @@ __all__ = [
     "node_value_words",
     "obs_violations",
     "service_violations",
-    "chaos_scenario_violations",
     "fleet_violations",
     "attrib_violations",
     "slo_violations",
@@ -833,131 +832,6 @@ def service_violations(requests: Sequence, workers: int, depth: int) -> List[str
                 f"service: 1-worker completion order {ran_order} != "
                 f"priority/FIFO order {expected_order}"
             )
-    return out
-
-
-# ----------------------------------------------------------------------
-# Chaos scenarios: graceful degradation under correlated faults
-# ----------------------------------------------------------------------
-def chaos_scenario_violations(
-    name: str, severity: float, seed: int
-) -> List[str]:
-    """Audit one chaos-scenario run against its degradation guarantees.
-
-    * **replay determinism** — the same (scenario, severity, seed) must
-      reproduce the byte-identical :meth:`trace_dump` (execution trace,
-      baseline trace, service log, verdict line);
-    * **zero-severity anchor** — at severity 0 the chaos executor's
-      trace is byte-identical to the fault-free base
-      :class:`~repro.cloud.executor.PlanExecutor` on the same plan, the
-      overruns are exactly zero, and the storm session evicts nobody;
-    * **bounded degradation** — a *completed* run's time/cost overrun
-      versus its severity-zero baseline sits inside
-      :func:`~repro.chaos.engine.degradation_bound`, and the bound
-      itself is monotone non-decreasing in severity;
-    * **abort legitimacy** — a failed run must show a ``stage_abort``
-      event (the retry budget genuinely ran out; nothing vanished);
-    * **billing three-view** — result total == segment sum == trace
-      billed total, exactly (transfer billing included);
-    * **slot accounting** — the storm session's pool released every
-      slot it acquired and left every job terminal, evictions and
-      requeues included.
-    """
-    from ..chaos import degradation_bound, run_scenario
-    from ..chaos.scenarios import SCENARIOS, _build_workload
-    from ..chaos.topology import default_topology
-
-    out: List[str] = []
-    result = run_scenario(name, severity=severity, seed=seed)
-    replay = run_scenario(name, severity=severity, seed=seed)
-    if result.trace_dump() != replay.trace_dump():
-        out.append(
-            f"scenario: {name} severity={severity!r} seed={seed} trace "
-            f"dump not byte-stable across replays"
-        )
-
-    zero = run_scenario(name, severity=0.0, seed=seed)
-    scenario = SCENARIOS[name]
-    topology = default_topology()
-    menu, plan, deadline = _build_workload(scenario, topology)
-    base = PlanExecutor(FaultProfile.none(), scenario.policy).execute(
-        plan, deadline_seconds=deadline, seed=seed, stage_options=menu
-    )
-    if zero.execution.trace.to_jsonl() != base.trace.to_jsonl():
-        out.append(
-            f"scenario: {name} seed={seed} severity-0 trace differs from "
-            f"the fault-free base executor"
-        )
-    if zero.time_overrun != 0.0 or zero.cost_overrun != 0.0:
-        out.append(
-            f"scenario: {name} seed={seed} severity-0 overrun nonzero: "
-            f"time {zero.time_overrun!r}, cost {zero.cost_overrun!r}"
-        )
-    if zero.storm.evictions:
-        out.append(
-            f"scenario: {name} seed={seed} severity-0 storm session "
-            f"evicted {sorted(zero.storm.evictions)}"
-        )
-
-    if result.execution.completed:
-        if not result.within_bounds:
-            out.append(
-                f"scenario: {name} severity={severity!r} seed={seed} "
-                f"overrun (time {result.time_overrun!r}, cost "
-                f"{result.cost_overrun!r}) exceeds bound "
-                f"(time {result.bound.time_overrun!r}, cost "
-                f"{result.bound.cost_overrun!r})"
-            )
-    elif result.execution.trace.count(EventKind.STAGE_ABORT) == 0:
-        out.append(
-            f"scenario: {name} severity={severity!r} seed={seed} failed "
-            f"without a stage_abort event — retries did not run out"
-        )
-
-    prev_time = prev_cost = -1.0
-    for s in (0.0, 0.25, 0.5, 1.0):
-        b = degradation_bound(
-            plan, scenario.policy, scenario.spec, topology, s,
-            stage_options=menu,
-        )
-        if b.time_overrun < prev_time - 1e-12 or b.cost_overrun < prev_cost - 1e-12:
-            out.append(
-                f"scenario: {name} bound not monotone at severity {s!r}: "
-                f"(time {b.time_overrun!r}, cost {b.cost_overrun!r}) after "
-                f"(time {prev_time!r}, cost {prev_cost!r})"
-            )
-        prev_time, prev_cost = b.time_overrun, b.cost_overrun
-
-    for label, res in (("run", result.execution), ("baseline", result.baseline)):
-        seg_sum = sum(seg.cost for seg in res.segments)
-        if not (res.total_cost == seg_sum == res.trace.billed_cost):
-            out.append(
-                f"scenario: {name} severity={severity!r} seed={seed} "
-                f"{label} billing views disagree: total {res.total_cost!r}, "
-                f"segments {seg_sum!r}, trace {res.trace.billed_cost!r}"
-            )
-
-    pool = result.storm.service.pool
-    if pool.active != 0:
-        out.append(
-            f"scenario: {name} seed={seed} storm pool left "
-            f"{pool.active} active workers"
-        )
-    if pool.slots_acquired != pool.slots_released:
-        out.append(
-            f"scenario: {name} seed={seed} storm slot leak — "
-            f"{pool.slots_acquired} acquired vs {pool.slots_released} released"
-        )
-    non_terminal = [
-        job.job_id
-        for job in result.storm.service.jobs.values()
-        if not job.terminal
-    ]
-    if non_terminal:
-        out.append(
-            f"scenario: {name} seed={seed} non-terminal storm jobs: "
-            f"{non_terminal}"
-        )
     return out
 
 

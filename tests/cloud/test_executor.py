@@ -4,8 +4,8 @@ Covers the acceptance criteria of the execution engine: fault-free runs
 reproduce the plan's nominal runtime/cost exactly, the same seed yields a
 byte-identical trace, distinct seeds diverge, retry exhaustion aborts the
 flow cleanly, and the degradation path (K preemptions -> on-demand
-fallback -> mid-flight re-plan) works end to end.  Monte-Carlo
-convergence suites are marked ``chaos``.
+fallback -> mid-flight re-plan) works end to end, and the Monte-Carlo
+mean converges to the closed-form spot model.
 """
 
 import math
@@ -312,7 +312,6 @@ def plan_deadline_too_tight():
     return plan.total_runtime + 1.0
 
 
-@pytest.mark.chaos
 class TestConvergence:
     """Monte-Carlo executor mean vs the closed-form spot model."""
 

@@ -3,9 +3,7 @@
 The load-bearing invariant is stream *independence*: every fault draw is
 a pure function of ``(seed, purpose, stage, attempt)``, so what one
 stage consumes can never shift another stage's schedule.  That is what
-keeps executor traces stable under re-planning and what lets the chaos
-engine layer correlated processes on top without perturbing the
-idiosyncratic draws.
+keeps executor traces stable under re-planning.
 """
 
 import math
@@ -130,9 +128,8 @@ def test_distinct_seeds_diverge_on_the_first_draw():
 def test_fault_free_profile_consults_no_streams():
     """Zero rates short-circuit before touching a stream.
 
-    This is the base of the chaos engine's zero-severity anchor: if no
-    stream is ever created, a severity-0 run cannot perturb — or be
-    perturbed by — any other draw.
+    If no stream is ever created, a fault-free run cannot perturb — or
+    be perturbed by — any other draw.
     """
     injector = FaultInjector(FaultProfile.none(), seed=5)
     assert injector.boot_fails("synthesis", 0) is False
@@ -140,15 +137,3 @@ def test_fault_free_profile_consults_no_streams():
     assert injector.straggler_factor("synthesis", 0) == 1.0
     assert injector.time_to_preemption("synthesis", 0) == math.inf
     assert injector._streams == {}
-
-
-def test_now_kwarg_is_accepted_and_ignored_by_the_base_model():
-    profile = FaultProfile.storm()
-    a = FaultInjector(profile, seed=9)
-    b = FaultInjector(profile, seed=9)
-    assert a.boot_fails("sta", 0, now=0.0) == b.boot_fails(
-        "sta", 0, now=12345.0
-    )
-    assert a.time_to_preemption("sta", 0, now=0.0) == b.time_to_preemption(
-        "sta", 0, now=99999.0
-    )

@@ -135,13 +135,14 @@ class TestVerifyCommand:
         assert main(["verify", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("mckp", "schedule", "aig", "cuts", "spot", "executor",
-                     "chaos", "obs", "service"):
+                     "convergence", "obs", "service"):
             assert name in out
+        assert "scenario" not in out
 
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--trials", "10", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "PASS: 13 oracles, 130 trials, 0 violations" in out
+        assert "PASS: 12 oracles, 120 trials, 0 violations" in out
 
     def test_run_is_deterministic(self, capsys):
         main(["verify", "--trials", "8"])
@@ -223,36 +224,6 @@ class TestExecuteCommand:
         out = capsys.readouterr().out
         assert "execution trace" in out
         assert "flow_complete" in out
-
-
-class TestChaosCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.trials == 50
-        assert args.seed == 0
-        assert args.convergence_trials == 500
-
-    def test_small_run_passes(self, capsys):
-        code = main(
-            ["chaos", "--trials", "3", "--convergence-trials", "200"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "convergence" in out
-
-    def test_zero_trials_runs_only_the_convergence_check(self, capsys):
-        code = main(["chaos", "--trials", "0", "--convergence-trials", "150"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("convergence")
-        assert "executor" not in out
-
-    def test_run_is_deterministic(self, capsys):
-        main(["chaos", "--trials", "3", "--convergence-trials", "150"])
-        first = capsys.readouterr().out
-        main(["chaos", "--trials", "3", "--convergence-trials", "150"])
-        assert capsys.readouterr().out == first
 
 
 class TestErrorPaths:

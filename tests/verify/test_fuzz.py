@@ -43,10 +43,9 @@ class TestDriver:
             "cuts",
             "spot",
             "executor",
-            "chaos",
+            "convergence",
             "obs",
             "service",
-            "scenario",
             "fleet",
             "attrib",
             "slo",

@@ -26,7 +26,7 @@ from repro.netlist.aig import lit_not
 from repro.parallel.scheduler import list_schedule
 from repro.cloud.events import EventKind
 from repro.cloud.executor import ExecutionPolicy, PlanExecutor
-from repro.cloud.faults import FaultProfile
+from repro.cloud.faults import PROFILES, FaultProfile
 from repro.verify import (
     aig_equivalence_violations,
     convergence_violations,
@@ -362,13 +362,22 @@ class TestExecutionOracle:
 
 
 class TestConvergenceOracle:
-    @pytest.mark.chaos
     @pytest.mark.parametrize(
         "runtime,rate,interval",
         [(900.0, 1.5, 120.0), (700.0, 2.0, None)],
     )
     def test_real_executor_converges(self, runtime, rate, interval):
         assert convergence_violations(runtime, rate, interval, seed=0) == []
+
+    def test_heavy_profile_converges(self):
+        heavy = PROFILES["heavy"]()
+        assert convergence_violations(
+            900.0,
+            heavy.spot_interrupt_rate_per_hour,
+            heavy.checkpoint_interval_seconds,
+            trials=600,
+            seed=0,
+        ) == []
 
     def test_catches_sub_nominal_completions(self):
         def mutant(runtime, rate, interval=None, trials=500, seed=0):
