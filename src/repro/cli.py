@@ -24,9 +24,7 @@ Exposes the paper's workflow as terminal commands:
   (text, JSON, or Chrome ``chrome://tracing`` format) plus metrics.
 * ``repro profile``      — run a workload under the tracer and print the
   per-frame *self-time* profile; export folded stacks (flamegraph
-  input), a self-contained HTML flame view, or the profile JSON; or
-  diff two saved profiles (``--diff A B``, non-zero exit on
-  regression).
+  input), a self-contained HTML flame view, or the profile JSON.
 * ``repro report``       — regression dashboard over the run store:
   terminal sparklines, MAD outlier warnings, deterministic-metric drift
   checks (non-zero exit on drift), optional self-contained HTML.
@@ -252,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile",
         help="run a workload under the tracer and print the self-time "
-        "profile (folded stacks / flame HTML / JSON), or diff two "
-        "saved profiles",
+        "profile (folded stacks / flame HTML / JSON)",
     )
     p_prof.add_argument(
         "--workload",
@@ -277,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tick clock: byte-stable folded/JSON output for one seed",
     )
     p_prof.add_argument(
-        "--sampling",
-        action="store_true",
-        help="also run the sys.setprofile sampling profiler and print "
-        "its hottest Python frames (wall-clock, non-deterministic)",
-    )
-    p_prof.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="rows to print in the frame table (default: 15)",
     )
@@ -297,21 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--json", default=None, metavar="FILE",
         help="write the repro-profile/1 JSON document here",
-    )
-    p_prof.add_argument(
-        "--diff", nargs=2, default=None, metavar=("BASELINE", "CURRENT"),
-        help="diff two saved profiles (folded or JSON) instead of "
-        "running a workload; exits 1 when anything regressed",
-    )
-    p_prof.add_argument(
-        "--tolerance", type=float, default=0.0, metavar="PCT",
-        help="--diff: ignore self-time deltas within this percent of "
-        "the baseline frame (default: 0)",
-    )
-    p_prof.add_argument(
-        "--abs-guard", type=float, default=0.0, metavar="SECONDS",
-        help="--diff: ignore self-time deltas below this many seconds "
-        "(default: 0)",
     )
 
     p_report = sub.add_parser(
@@ -736,7 +712,7 @@ def _run_traced_workload(
     seed: int,
     fault_profile: str = "calm",
 ) -> None:
-    """Run one seeded workload under the already-scoped obs globals.
+    """Run one seeded workload under the already-scoped obs state.
 
     Shared by ``repro trace`` and ``repro profile`` so both commands
     measure exactly the same code paths.
@@ -812,54 +788,18 @@ def _cmd_profile(args) -> int:
     import json as _json
 
     from .obs import MetricsRegistry, Tracer, scoped
-    from .obs.profile import (
-        SamplingProfiler,
-        build_profile,
-        diff_profiles,
-        load_profile,
-        render_diff,
-        render_flame_html,
-        render_profile,
-    )
-
-    if args.diff is not None:
-        baseline_path, current_path = args.diff
-        try:
-            baseline = load_profile(baseline_path)
-            current = load_profile(current_path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load profile: {exc}", file=sys.stderr)
-            return 2
-        diff = diff_profiles(
-            baseline,
-            current,
-            tolerance_pct=args.tolerance,
-            abs_guard_seconds=args.abs_guard,
-        )
-        print(render_diff(diff, top=args.top))
-        return 1 if diff.regressions else 0
+    from .obs.profile import build_profile, render_flame_html, render_profile
 
     tracer = Tracer(deterministic=args.deterministic)
     registry = MetricsRegistry()
-    sampler = SamplingProfiler() if args.sampling else None
     with scoped(tracer=tracer, metrics=registry):
-        if sampler is not None:
-            with sampler:
-                _run_traced_workload(
-                    args.workload,
-                    args.design,
-                    args.scale,
-                    args.seed,
-                    fault_profile=args.fault_profile,
-                )
-        else:
-            _run_traced_workload(
-                args.workload,
-                args.design,
-                args.scale,
-                args.seed,
-                fault_profile=args.fault_profile,
-            )
+        _run_traced_workload(
+            args.workload,
+            args.design,
+            args.scale,
+            args.seed,
+            fault_profile=args.fault_profile,
+        )
     meta = {
         "workload": args.workload,
         "design": args.design,
@@ -870,14 +810,6 @@ def _cmd_profile(args) -> int:
         tracer.spans, deterministic=args.deterministic, meta=meta
     )
     print(render_profile(profile, top=args.top))
-    if sampler is not None:
-        print()
-        print("sampling profiler (python frames, wall-clock):")
-        for frame in sampler.profile.top(args.top):
-            print(
-                f"  {1e3 * frame.self_time:>10.3f}ms "
-                f"{frame.calls:>7} calls  {frame.name}"
-            )
     if args.folded:
         with open(args.folded, "w") as handle:
             handle.write(profile.to_folded())

@@ -6,14 +6,14 @@ the same discipline to our own hot paths:
 
 * :mod:`repro.obs.spans`   — hierarchical wall-clock spans (thread-local
   stack, monotonic clock, deterministic mode for byte-stable traces),
-* :mod:`repro.obs.metrics` — process-local counters / gauges / log-scale
-  histograms with snapshot, reset and merge,
+* :mod:`repro.obs.metrics` — counters / gauges / log-scale histograms
+  with snapshot, reset and merge,
 * :mod:`repro.obs.export`  — JSON, Chrome trace-event, and text-tree
   exporters,
 * :mod:`repro.obs.log`     — structured span-correlated log records, the
   bounded ring-buffer flight recorder, and replayable crash dumps,
 * :mod:`repro.obs.profile` — the deterministic self-time profiler over
-  the span tree, folded-stack/flame exports, and the profile differ,
+  the span tree and its folded-stack/flame/JSON exports,
 * :mod:`repro.obs.store`   — the append-only multi-run telemetry store
   (JSONL under ``benchmarks/runs/``) with series/percentile queries,
 * :mod:`repro.obs.report`  — the ``repro report`` terminal/HTML
@@ -25,11 +25,15 @@ the same discipline to our own hot paths:
   percentile latency, cost budgets) evaluated deterministically over
   the run store, with error-budget burn windows.
 
-The global tracer and logger start **disabled** (instrumented code pays
-one attribute check), the global metric registry is always on
-(dict-lookup cheap).  :func:`scoped` swaps any of the three for the
-duration of a ``with`` block, which is how the CLI commands, the
-benchmark harness, and the tests isolate their telemetry.
+The ambient tracer, metric registry and logger each live in a
+:class:`contextvars.ContextVar`.  The tracer and logger default to
+**disabled** (instrumented code pays one attribute check), the registry
+to one always-on process registry (dict-lookup cheap).  :func:`scoped`
+sets any of the three for the duration of a ``with`` block in the
+current context only — a thread, an asyncio task, or a copied
+:class:`contextvars.Context` — which is how the CLI commands, the
+benchmark harness, the tests and each service job isolate their
+telemetry, even when jobs run concurrently on threads.
 """
 
 from contextlib import contextmanager
@@ -45,18 +49,19 @@ from .attrib import (
 )
 from .log import (
     CRASH_SCHEMA,
+    LOGGER,
     LogRecord,
     Logger,
     build_crash_report,
     crash_scope,
     default_crash_dir,
     get_logger,
-    set_logger,
     write_crash_report,
 )
 from .export import OpenMetricsError, parse_openmetrics, to_openmetrics
 from .metrics import (
     MAX_BIN,
+    METRICS,
     MIN_BIN,
     ZERO_BIN,
     Counter,
@@ -72,20 +77,13 @@ from .metrics import (
     labeled_name,
     merge_snapshots,
     parse_labeled_name,
-    set_metrics,
     snapshot_from_dict,
 )
 from .profile import (
     PROFILE_SCHEMA,
     FrameStat,
     Profile,
-    ProfileDiff,
-    SamplingProfiler,
     build_profile,
-    diff_profiles,
-    load_profile,
-    parse_folded,
-    render_diff,
     render_flame_html,
     render_profile,
 )
@@ -103,13 +101,13 @@ from .slo import (
 )
 from .spans import (
     NULL_SPAN,
+    TRACER,
     Span,
     SpanEvent,
     TickClock,
     Tracer,
     get_tracer,
     mint_trace_id,
-    set_tracer,
     traced,
     well_nested_violations,
 )
@@ -138,12 +136,10 @@ __all__ = [
     "ObjectiveResult",
     "OpenMetricsError",
     "Profile",
-    "ProfileDiff",
     "SLOError",
     "SLOReport",
     "SLOSpec",
     "SLOSpecError",
-    "SamplingProfiler",
     "Span",
     "SpanEvent",
     "TickClock",
@@ -155,14 +151,10 @@ __all__ = [
     "build_crash_report",
     "build_profile",
     "burn_sparkline",
-    "diff_profiles",
     "evaluate_slo",
-    "load_profile",
     "load_slo_spec",
-    "parse_folded",
     "parse_openmetrics",
     "parse_slo_spec",
-    "render_diff",
     "render_flame_html",
     "render_profile",
     "crash_scope",
@@ -176,9 +168,6 @@ __all__ = [
     "mint_trace_id",
     "parse_labeled_name",
     "scoped",
-    "set_logger",
-    "set_metrics",
-    "set_tracer",
     "snapshot_from_dict",
     "to_openmetrics",
     "traced",
@@ -193,21 +182,19 @@ def scoped(
     metrics: Optional[MetricsRegistry] = None,
     log: Optional[Logger] = None,
 ):
-    """Temporarily install tracer/metric-registry/logger globals.
+    """Set the ambient tracer/metric registry/logger for a ``with`` block.
 
-    Restores the previous globals on exit even if the body raises; yields
-    ``(tracer, metrics)`` as actually installed (the logger is reachable
-    via :func:`get_logger`).
+    Only the values given are set, in the current context only; each is
+    reset on exit even if the body raises.  Yields ``(tracer, metrics)``
+    as now ambient (the logger is reachable via :func:`get_logger`).
     """
-    prev_tracer = set_tracer(tracer) if tracer is not None else None
-    prev_metrics = set_metrics(metrics) if metrics is not None else None
-    prev_logger = set_logger(log) if log is not None else None
+    tokens = [
+        (var, var.set(value))
+        for var, value in ((TRACER, tracer), (METRICS, metrics), (LOGGER, log))
+        if value is not None
+    ]
     try:
         yield get_tracer(), get_metrics()
     finally:
-        if tracer is not None:
-            set_tracer(prev_tracer)
-        if metrics is not None:
-            set_metrics(prev_metrics)
-        if log is not None:
-            set_logger(prev_logger)
+        for var, token in reversed(tokens):
+            var.reset(token)

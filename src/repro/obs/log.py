@@ -21,13 +21,15 @@ True)`` stamps records with its own counting :class:`TickClock` —
 and crash documents are written with sorted keys, so two runs of the
 same seeded workload produce byte-identical dumps.
 
-Like the tracer, the process-global logger starts **disabled**:
+Like the tracer, the ambient logger (a :class:`contextvars.ContextVar`
+that :func:`repro.obs.scoped` sets) defaults to **disabled**:
 instrumented hot paths pay one attribute check per call, and
 :func:`crash_scope` writes nothing unless a run opted into recording.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import sys
@@ -46,7 +48,6 @@ __all__ = [
     "LogRecord",
     "Logger",
     "get_logger",
-    "set_logger",
     "default_crash_dir",
     "build_crash_report",
     "write_crash_report",
@@ -179,22 +180,16 @@ class Logger:
 
 
 # ----------------------------------------------------------------------
-# Process-global logger (starts disabled, like the tracer).
+# Ambient logger (defaults to disabled, like the tracer).
 # ----------------------------------------------------------------------
-_global_logger = Logger(enabled=False)
+LOGGER: contextvars.ContextVar[Logger] = contextvars.ContextVar(
+    "repro_logger", default=Logger(enabled=False)
+)
 
 
 def get_logger() -> Logger:
-    """The process-global logger the instrumented modules report to."""
-    return _global_logger
-
-
-def set_logger(logger: Logger) -> Logger:
-    """Install ``logger`` as the global logger; returns the previous one."""
-    global _global_logger
-    previous = _global_logger
-    _global_logger = logger
-    return previous
+    """The ambient logger the instrumented modules report to."""
+    return LOGGER.get()
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +222,7 @@ def build_crash_report(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> dict:
-    """Assemble a ``repro-crash/1`` document from the obs globals.
+    """Assemble a ``repro-crash/1`` document from the ambient obs state.
 
     ``records`` is the flight recorder's tail, ``open_spans`` the span
     stack captured when ``exc`` started unwinding (outermost first),
@@ -289,7 +284,7 @@ def crash_scope(
 ):
     """Dump the flight recorder if the body raises, then re-raise.
 
-    A no-op on the happy path and when the global logger is disabled —
+    A no-op on the happy path and when the ambient logger is disabled —
     library code stays silent unless a run opted into recording.  The
     dump path is printed to stderr next to the failing seed, so a dead
     fuzz run or executor crash leaves a replayable forensic trail.

@@ -29,6 +29,7 @@ proper label sets on the wire.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import re
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ __all__ = [
     "labeled_name",
     "parse_labeled_name",
     "get_metrics",
-    "set_metrics",
     "ZERO_BIN",
     "MIN_BIN",
     "MAX_BIN",
@@ -403,19 +403,15 @@ def snapshot_from_dict(doc: dict) -> MetricsSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Process-global registry (always on; instruments are dict-lookup cheap)
+# Ambient registry (always on; instruments are dict-lookup cheap).  The
+# default is one process-wide registry; ``repro.obs.scoped`` sets a
+# per-run or per-job one for the current context only.
 # ----------------------------------------------------------------------
-_global_metrics = MetricsRegistry()
+METRICS: contextvars.ContextVar[MetricsRegistry] = contextvars.ContextVar(
+    "repro_metrics", default=MetricsRegistry()
+)
 
 
 def get_metrics() -> MetricsRegistry:
-    """The process-global registry the instrumented modules report to."""
-    return _global_metrics
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the global one; returns the previous one."""
-    global _global_metrics
-    previous = _global_metrics
-    _global_metrics = registry
-    return previous
+    """The ambient registry the instrumented modules report to."""
+    return METRICS.get()

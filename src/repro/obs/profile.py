@@ -16,24 +16,17 @@ says *which frame* regressed.  Three layers:
   flamegraph tool), :func:`render_flame_html` a self-contained light/dark
   HTML flame view, and :meth:`Profile.to_dict` the ``repro-profile/1``
   JSON document.
-* :func:`diff_profiles` aligns two profiles frame-by-frame and ranks
-  regressions/improvements by self-time delta — the attribution layer
-  ``repro profile --diff`` reports through.
+* :func:`render_profile` prints the hottest frames as a flat table.
 
-For code that carries no spans at all there is a fallback
-:class:`SamplingProfiler` built on ``sys.setprofile``: it shadows the
-interpreter's call stack and accumulates per-path self time for every
-Python call.  It is wall-clock only (the interpreter drives the event
-stream, so tick-clock byte-stability is not promised) and is strictly an
-exploration tool; the span profiler is the contractual one.
+Timing regressions are gated by ``benchmarks/perf`` alone; for code
+that carries no spans, ``python -m cProfile -s tottime -m repro ...``
+is the function-level fallback.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .spans import Span
 
@@ -42,16 +35,9 @@ __all__ = [
     "FUSED_TAGS",
     "FrameStat",
     "Profile",
-    "FrameDelta",
-    "ProfileDiff",
     "build_profile",
-    "diff_profiles",
-    "load_profile",
-    "parse_folded",
     "render_profile",
-    "render_diff",
     "render_flame_html",
-    "SamplingProfiler",
 ]
 
 #: Schema tag stamped into every exported profile document.
@@ -140,28 +126,6 @@ class Profile:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Profile":
-        if doc.get("schema") != PROFILE_SCHEMA:
-            raise ValueError(
-                f"profile schema mismatch: expected {PROFILE_SCHEMA!r}, "
-                f"got {doc.get('schema')!r}"
-            )
-        profile = cls(
-            deterministic=bool(doc.get("deterministic", False)),
-            meta=dict(doc.get("meta", {})),
-        )
-        for path, raw in doc.get("frames", {}).items():
-            profile.frames[path] = FrameStat(
-                path=path,
-                calls=int(raw.get("calls", 0)),
-                total=float(raw.get("total", 0.0)),
-                self_time=float(raw.get("self", 0.0)),
-                counters=dict(raw.get("counters", {})),
-            )
-        return profile
-
-
 def build_profile(
     spans: Sequence[Span],
     deterministic: bool = False,
@@ -216,143 +180,6 @@ def build_profile(
     return profile
 
 
-def parse_folded(text: str) -> Profile:
-    """Parse collapsed-stack text back into a :class:`Profile`.
-
-    Only self time survives the folded format (``total`` mirrors it and
-    call counts are lost — recorded as 0), which is exactly enough for
-    :func:`diff_profiles`.
-    """
-    profile = Profile()
-    for number, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        stack, _, value = raw.rpartition(" ")
-        if not stack:
-            raise ValueError(f"folded line {number} has no stack: {raw!r}")
-        try:
-            micros = int(value)
-        except ValueError:
-            raise ValueError(
-                f"folded line {number} has a non-integer value: {value!r}"
-            ) from None
-        path = stack.replace(";", "/")
-        frame = profile.frames.get(path)
-        if frame is None:
-            frame = profile.frames[path] = FrameStat(path=path)
-        seconds = micros / 1e6
-        frame.self_time += seconds
-        frame.total += seconds
-    return profile
-
-
-def load_profile(path: str) -> Profile:
-    """Load a profile from a ``repro-profile/1`` JSON or folded file."""
-    import json
-
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return Profile.from_dict(json.loads(text))
-    return parse_folded(text)
-
-
-# ----------------------------------------------------------------------
-# Diffing: frame-by-frame alignment and regression attribution
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FrameDelta:
-    """One aligned frame's self-time change between two profiles."""
-
-    path: str
-    base_self: float
-    cur_self: float
-    base_calls: int
-    cur_calls: int
-
-    @property
-    def delta(self) -> float:
-        return self.cur_self - self.base_self
-
-    @property
-    def percent(self) -> float:
-        """Delta as a percentage of the baseline (inf for a 0 baseline)."""
-        if self.base_self > 0.0:
-            return 100.0 * self.delta / self.base_self
-        return float("inf") if self.delta > 0 else 0.0
-
-
-@dataclass
-class ProfileDiff:
-    """Aligned diff of two profiles, ranked by |self-time delta|."""
-
-    regressions: List[FrameDelta] = field(default_factory=list)
-    improvements: List[FrameDelta] = field(default_factory=list)
-    added: List[str] = field(default_factory=list)
-    removed: List[str] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        """No deltas beyond the guards and no frame set drift."""
-        return not (
-            self.regressions or self.improvements or self.added or self.removed
-        )
-
-    @property
-    def top_regression(self) -> Optional[FrameDelta]:
-        return self.regressions[0] if self.regressions else None
-
-
-def diff_profiles(
-    baseline: Profile,
-    current: Profile,
-    tolerance_pct: float = 0.0,
-    abs_guard_seconds: float = 0.0,
-) -> ProfileDiff:
-    """Align ``current`` against ``baseline`` frame-by-frame.
-
-    A frame counts as regressed (or improved) only when its self-time
-    delta clears *both* guards: more than ``tolerance_pct`` percent of
-    the baseline value and more than ``abs_guard_seconds`` in absolute
-    terms.  With both guards at 0 (the deterministic tick-clock case)
-    any non-zero delta is reported, so two byte-identical profiles diff
-    to exactly nothing.
-    """
-    if tolerance_pct < 0 or abs_guard_seconds < 0:
-        raise ValueError("tolerance_pct and abs_guard_seconds must be >= 0")
-    diff = ProfileDiff()
-    for path in sorted(set(baseline.frames) | set(current.frames)):
-        base = baseline.frames.get(path)
-        cur = current.frames.get(path)
-        if base is None:
-            diff.added.append(path)
-            continue
-        if cur is None:
-            diff.removed.append(path)
-            continue
-        delta = FrameDelta(
-            path=path,
-            base_self=base.self_time,
-            cur_self=cur.self_time,
-            base_calls=base.calls,
-            cur_calls=cur.calls,
-        )
-        magnitude = abs(delta.delta)
-        if magnitude <= abs_guard_seconds:
-            continue
-        if magnitude <= base.self_time * tolerance_pct / 100.0:
-            continue
-        if delta.delta > 0:
-            diff.regressions.append(delta)
-        else:
-            diff.improvements.append(delta)
-    diff.regressions.sort(key=lambda d: (-d.delta, d.path))
-    diff.improvements.sort(key=lambda d: (d.delta, d.path))
-    return diff
-
-
 # ----------------------------------------------------------------------
 # Text rendering
 # ----------------------------------------------------------------------
@@ -379,39 +206,6 @@ def render_profile(profile: Profile, top: int = 15) -> str:
         f"{_format_seconds(total)} total self time "
         f"(top {shown} shown)"
     )
-    return "\n".join(lines)
-
-
-def render_diff(diff: ProfileDiff, top: int = 10) -> str:
-    """Deterministic table of ranked regressions and improvements."""
-    if diff.empty:
-        return "profile diff: no self-time deltas beyond the guards"
-    lines: List[str] = []
-    if diff.regressions:
-        lines.append(f"regressions ({len(diff.regressions)}):")
-        lines.append(
-            f"  {'delta':>12} {'base':>12} {'current':>12} {'pct':>8}  frame"
-        )
-        for d in diff.regressions[:top]:
-            pct = "new" if d.base_self <= 0 else f"{d.percent:+.1f}%"
-            lines.append(
-                f"  {'+' + _format_seconds(d.delta):>12} "
-                f"{_format_seconds(d.base_self):>12} "
-                f"{_format_seconds(d.cur_self):>12} {pct:>8}  {d.path}"
-            )
-    if diff.improvements:
-        lines.append(f"improvements ({len(diff.improvements)}):")
-        for d in diff.improvements[:top]:
-            lines.append(
-                f"  {'-' + _format_seconds(-d.delta):>12} "
-                f"{_format_seconds(d.base_self):>12} "
-                f"{_format_seconds(d.cur_self):>12} "
-                f"{d.percent:>+7.1f}%  {d.path}"
-            )
-    for label, paths in (("added", diff.added), ("removed", diff.removed)):
-        if paths:
-            lines.append(f"{label} frames ({len(paths)}):")
-            lines.extend(f"  {p}" for p in paths[:top])
     return "\n".join(lines)
 
 
@@ -545,66 +339,3 @@ def render_flame_html(profile: Profile, title: str = "repro profile") -> str:
             "</body></html>",
         ]
     )
-
-
-# ----------------------------------------------------------------------
-# sys.setprofile fallback for un-instrumented code
-# ----------------------------------------------------------------------
-class SamplingProfiler:
-    """Shadow-stack profiler over the interpreter's call events.
-
-    Tracks every Python ``call``/``return`` seen by ``sys.setprofile``
-    while the context is active and accumulates per-stack-path self
-    time, exactly like the span profiler but at function granularity.
-    Frames are named ``file.py:function``.  C-function events are
-    ignored (they are leaves whose cost lands in their caller's self
-    time, the convention ``cProfile``'s callers view uses too).
-
-    Wall-clock only: event ordering is interpreter-driven, so this mode
-    does not promise byte-identical output.  Use spans for contracts.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        if clock is None:
-            import time
-
-            clock = time.perf_counter
-        self.clock = clock
-        self.profile = Profile(meta={"mode": "sampling"})
-        # Shadow stack entries: [path, start, child_time].
-        self._stack: List[List[object]] = []
-        self._previous: Optional[Callable] = None
-
-    def _frame_name(self, frame) -> str:
-        code = frame.f_code
-        return f"{os.path.basename(code.co_filename)}:{code.co_name}"
-
-    def _event(self, frame, event: str, arg) -> None:
-        if event == "call":
-            name = self._frame_name(frame)
-            parent = self._stack[-1][0] if self._stack else ""
-            path = f"{parent}/{name}" if parent else name
-            self._stack.append([path, self.clock(), 0.0])
-        elif event == "return" and self._stack:
-            path, start, child_time = self._stack.pop()
-            duration = self.clock() - start
-            stat = self.profile.frames.get(path)
-            if stat is None:
-                stat = self.profile.frames[path] = FrameStat(path=path)
-            stat.calls += 1
-            stat.total += duration
-            stat.self_time += max(0.0, duration - child_time)
-            if self._stack:
-                self._stack[-1][2] += duration
-
-    def __enter__(self) -> "SamplingProfiler":
-        self._previous = sys.getprofile()
-        sys.setprofile(self._event)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        sys.setprofile(self._previous)
-        # Frames still open (callers of __enter__) never saw their call
-        # event complete inside the window; drop them.
-        self._stack.clear()
-        return False

@@ -15,13 +15,16 @@ usable as *test fixtures* and not just as profiling output:
   no-op context manager, so instrumented hot paths (the executor's
   Monte-Carlo loops, the tier-1 suite) pay one attribute check per span.
 
-The module-level :func:`get_tracer`/:func:`set_tracer` pair holds the
-process-global tracer, which starts *disabled*; ``repro trace`` /
-``repro profile`` and the tests install enabled tracers scoped to a run.
+:func:`get_tracer` reads the ambient tracer from a
+:class:`contextvars.ContextVar` whose default is *disabled*;
+:func:`repro.obs.scoped` sets it for a ``with`` block, so ``repro
+trace`` / ``repro profile``, the tests and each service job install
+their own tracer without touching any other thread's or task's.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import threading
 import time
@@ -37,7 +40,6 @@ __all__ = [
     "TickClock",
     "NULL_SPAN",
     "get_tracer",
-    "set_tracer",
     "mint_trace_id",
     "traced",
     "well_nested_violations",
@@ -363,27 +365,21 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Process-global tracer (starts disabled: instrumentation is free until
-# a CLI command or test turns it on).
+# Ambient tracer (defaults to disabled: instrumentation is free until a
+# CLI command, test or service job scopes an enabled one).
 # ----------------------------------------------------------------------
-_global_tracer = Tracer(enabled=False)
+TRACER: contextvars.ContextVar[Tracer] = contextvars.ContextVar(
+    "repro_tracer", default=Tracer(enabled=False)
+)
 
 
 def get_tracer() -> Tracer:
-    """The process-global tracer the instrumented modules report to."""
-    return _global_tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the global tracer; returns the previous one."""
-    global _global_tracer
-    previous = _global_tracer
-    _global_tracer = tracer
-    return previous
+    """The ambient tracer the instrumented modules report to."""
+    return TRACER.get()
 
 
 def traced(name: Optional[str] = None, **tags):
-    """Decorator: run the function inside a span on the global tracer."""
+    """Decorator: run the function inside a span on the ambient tracer."""
 
     def decorate(func):
         span_name = name if name is not None else func.__qualname__

@@ -11,11 +11,12 @@ framework-free, stdlib-asyncio service:
   cooperative cancellation/timeout contexts, run-store persistence,
 * :mod:`repro.service.queue`   — bounded priority queue (deterministic
   FIFO tie-break), per-client token buckets, admission control,
-* :mod:`repro.service.pool`    — asyncio worker pool (inline mode for
-  replayable sessions, thread mode for wall-clock overlap), graceful
-  drain, guaranteed slot release,
+* :mod:`repro.service.pool`    — asyncio worker pool running one job
+  body per job (inline for replayable sessions, on threads for
+  wall-clock overlap with set-equal completion order), per-job obs
+  context, graceful drain, guaranteed slot release,
 * :mod:`repro.service.runners` — job kinds mapped onto the pipeline,
-  with a memoized characterization flow,
+  with a memoized characterization flow built once per key,
 * :mod:`repro.service.api`     — the in-process request API
   (submit/status/cancel), the synchronous session driver the CLI uses,
   and the byte-stable session log.

@@ -152,7 +152,7 @@ class Job:
     #: stitched under it.  Requeued incarnations get fresh trace ids.
     trace_id: Optional[str] = None
     #: Per-job metric snapshot (``MetricsSnapshot.to_dict()``), recorded
-    #: by the pool in inline mode — the multi-job billing oracle compares
+    #: by the pool in either mode — the multi-job billing oracle compares
     #: these counters against the job's own execution trace.
     metrics: Dict[str, dict] = field(default_factory=dict)
 

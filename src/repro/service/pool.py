@@ -1,19 +1,24 @@
 """Asyncio worker pool: N workers draining the priority queue.
 
-Two execution modes, one scheduling discipline:
+Two execution modes, one scheduling discipline and one job body:
 
 * ``inline`` (default) — the runner executes synchronously *inside* the
   event loop.  Workers only interleave at the explicit yield between
   jobs, so with a seeded arrival schedule the completion order equals
   the queue's delivery order exactly: the whole service becomes a
-  deterministic state machine.  Inline mode also lets the pool scope a
-  **fresh metric registry per job** (``scoped(metrics=...)`` swaps a
-  process-global, which is only safe while jobs are serialized), which
-  is what the multi-job billing oracle audits.
-* ``thread`` — the runner executes via ``loop.run_in_executor`` for
-  real wall-clock overlap.  Jobs share the ambient metric registry and
-  completion order is timing-dependent; use for throughput, not for
-  replayable sessions.
+  deterministic state machine.
+* ``thread`` — the same job body runs via ``loop.run_in_executor`` in a
+  copy of the worker's :class:`contextvars.Context` (the executor does
+  not carry it over by itself), for real wall-clock overlap.  Results,
+  per-job metrics, billing and trace stitching match inline mode; the
+  completion order is timing-dependent, so its contract relaxes to
+  *set* equality with inline mode.
+
+In both modes each job runs under ``scoped(metrics=..., tracer=...)``
+with a **fresh metric registry** and the pool's tracer bound to the
+job's trace id.  The obs state is context-local, so concurrent thread
+jobs never see each other's registry; ``job.metrics`` is what the
+multi-job billing oracle audits.
 
 Invariants the property tests hold the pool to:
 
@@ -37,6 +42,7 @@ still queued.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 from typing import Callable, Dict, List, Optional
 
 from ..obs import MetricsRegistry, Tracer, get_logger, get_tracer, scoped
@@ -73,10 +79,9 @@ class WorkerPool:
         self.mode = mode
         self.crash_dir = crash_dir
         self.on_terminal = on_terminal
-        #: Installed as the global tracer around each inline job (the
-        #: same swap discipline as the per-job metric registry), so
-        #: runner-internal spans land on the service's tracer and under
-        #: the job's trace id.
+        #: Scoped as the ambient tracer around each job (beside the
+        #: per-job metric registry), so runner-internal spans land on the
+        #: service's tracer and under the job's trace id.
         self.tracer = tracer
         self.active = 0
         self.slots_acquired = 0
@@ -157,24 +162,26 @@ class WorkerPool:
             started=started,
             timeout_seconds=job.request.timeout_seconds,
         )
+        registry = MetricsRegistry()
+        tracer = self.tracer if self.tracer is not None else get_tracer()
+
+        def call() -> dict:
+            try:
+                with scoped(metrics=registry, tracer=tracer):
+                    with tracer.trace(job.trace_id):
+                        ctx.checkpoint()
+                        return self.runner(job, ctx)
+            finally:
+                job.metrics = registry.snapshot().to_dict()
+
         self.active += 1
         self.slots_acquired += 1
         try:
             if self.mode == "inline":
-                registry = MetricsRegistry()
-                tracer = self.tracer if self.tracer is not None else get_tracer()
-                try:
-                    with scoped(metrics=registry, tracer=self.tracer):
-                        with tracer.trace(job.trace_id):
-                            ctx.checkpoint()
-                            result = self.runner(job, ctx)
-                finally:
-                    job.metrics = registry.snapshot().to_dict()
+                result = call()
             else:
-                ctx.checkpoint()
-                loop = asyncio.get_running_loop()
-                result = await loop.run_in_executor(
-                    None, self.runner, job, ctx
+                result = await asyncio.get_running_loop().run_in_executor(
+                    None, contextvars.copy_context().run, call
                 )
             job.result = result
             job.transition(JobState.DONE, self.clock())
@@ -183,7 +190,7 @@ class WorkerPool:
             # state, but keep the forensic dump — the job did real work
             # that something outside the service destroyed.
             job.transition(JobState.CANCELLED, self.clock())
-            self._dump_crash(job, exc)
+            self._dump_crash(job, exc, registry, tracer)
         except JobCancelled:
             job.transition(JobState.CANCELLED, self.clock())
         except JobTimeout:
@@ -191,7 +198,7 @@ class WorkerPool:
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.error = self._error_doc(exc)
             job.transition(JobState.FAILED, self.clock())
-            self._dump_crash(job, exc)
+            self._dump_crash(job, exc, registry, tracer)
         finally:
             self.active -= 1
             self.slots_released += 1
@@ -212,12 +219,23 @@ class WorkerPool:
             "details": {},
         }
 
-    def _dump_crash(self, job: Job, exc: Exception) -> None:
-        """Forensic dump for *unexpected* failures only."""
+    def _dump_crash(
+        self,
+        job: Job,
+        exc: Exception,
+        registry: MetricsRegistry,
+        tracer: Tracer,
+    ) -> None:
+        """Forensic dump of the job's own telemetry (its registry, the
+        pool's tracer), for *unexpected* failures only."""
         if self.crash_dir is None or not get_logger().enabled:
             return
         doc = build_crash_report(
-            f"service.job.{job.job_id}", job.request.seed, exc=exc
+            f"service.job.{job.job_id}",
+            job.request.seed,
+            exc=exc,
+            tracer=tracer,
+            metrics=registry,
         )
         write_crash_report(doc, self.crash_dir)
 

@@ -21,7 +21,9 @@ The default :class:`PipelineRunner` understands six kinds:
 
 Flow results are memoized on ``(design, scale, flow_seed)`` — many jobs
 in one session characterize the same design, and the flow is by far the
-most expensive step.  The cache is lock-guarded for thread-mode pools.
+most expensive step.  The lock is held across lookup *and* build, so
+concurrent thread-mode jobs on one key build the flow once (the build
+is pure Python under the GIL, so serializing it loses no overlap).
 Results are plain JSON-safe dicts and, for fixed request seeds,
 bit-deterministic — the service's determinism contract bottoms out
 here.
@@ -52,13 +54,11 @@ class PipelineRunner:
         self,
         fault_profile: Optional[FaultProfile] = None,
         policy: Optional[ExecutionPolicy] = None,
-        cache_flows: bool = True,
     ):
         self.fault_profile = (
             fault_profile if fault_profile is not None else FaultProfile.calm()
         )
         self.policy = policy if policy is not None else ExecutionPolicy()
-        self.cache_flows = cache_flows
         self._flow_cache: Dict[Tuple[str, float, int], FlowResult] = {}
         self._lock = threading.Lock()
 
@@ -81,16 +81,12 @@ class PipelineRunner:
     def _flow(self, job: Job) -> FlowResult:
         req = job.request
         key = (req.design, req.scale, req.flow_seed)
-        if self.cache_flows:
-            with self._lock:
-                cached = self._flow_cache.get(key)
-            if cached is not None:
-                return cached
-        runner = FlowRunner(seed=req.flow_seed)
-        aig = benchmarks.build(req.design, req.scale)
-        flow = runner.run(aig, seed=req.flow_seed)
-        if self.cache_flows:
-            with self._lock:
+        with self._lock:
+            flow = self._flow_cache.get(key)
+            if flow is None:
+                runner = FlowRunner(seed=req.flow_seed)
+                aig = benchmarks.build(req.design, req.scale)
+                flow = runner.run(aig, seed=req.flow_seed)
                 self._flow_cache[key] = flow
         return flow
 

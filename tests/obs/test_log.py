@@ -60,7 +60,7 @@ class TestLogger:
         assert log.info("nope") is None
         assert log.tail() == []
 
-    def test_global_logger_starts_disabled(self):
+    def test_default_logger_starts_disabled(self):
         assert get_logger().enabled is False
 
     def test_span_correlation(self):

@@ -1,5 +1,7 @@
 """Unit tests for counters, gauges, log-scale histograms, snapshots."""
 
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -168,6 +170,32 @@ class TestGlobalRegistry:
             get_metrics().counter("inside").inc()
         assert fresh.snapshot().counters == {"inside": 1.0}
         assert "inside" not in get_metrics().snapshot().counters
+
+    def test_scoped_isolates_concurrent_threads(self):
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        barrier = threading.Barrier(len(registries), timeout=10)
+
+        def worker(own, increments):
+            with scoped(metrics=own):
+                # Both scopes are open before either thread increments.
+                barrier.wait()
+                for _ in range(increments):
+                    get_metrics().counter("x").inc()
+                barrier.wait()
+
+        threads = [
+            threading.Thread(target=worker, args=(registry, n))
+            for n, registry in enumerate(registries, start=1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert [r.snapshot().counters for r in registries] == [
+            {"x": 1.0},
+            {"x": 2.0},
+        ]
 
 
 class TestNaNObserve:

@@ -10,7 +10,6 @@ from repro.obs import (
     Tracer,
     get_tracer,
     scoped,
-    set_tracer,
     traced,
     well_nested_violations,
 )
@@ -132,7 +131,7 @@ class TestDisabledTracer:
         assert tracer.spans == []
         assert tracer.orphan_events == []
 
-    def test_global_tracer_starts_disabled(self):
+    def test_default_tracer_starts_disabled(self):
         assert get_tracer().enabled is False
 
     def test_scoped_swaps_and_restores(self):
@@ -156,16 +155,14 @@ class TestDisabledTracer:
 class TestDecorator:
     def test_traced_wraps_function(self):
         tracer = Tracer(deterministic=True)
-        previous = set_tracer(tracer)
-        try:
 
-            @traced("my.op", kind="test")
-            def add(a, b):
-                return a + b
+        @traced("my.op", kind="test")
+        def add(a, b):
+            return a + b
 
+        with scoped(tracer=tracer):
             assert add(2, 3) == 5
-        finally:
-            set_tracer(previous)
+        assert add(2, 3) == 5
         assert [s.name for s in tracer.spans] == ["my.op"]
         assert tracer.spans[0].tags == {"kind": "test"}
 

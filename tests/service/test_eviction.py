@@ -15,11 +15,12 @@ nothing.
 """
 
 import asyncio
+import json
 import os
 
 import pytest
 
-from repro.obs import Logger, scoped
+from repro.obs import Logger, MetricsRegistry, scoped
 from repro.service import (
     EDAService,
     JobEvicted,
@@ -117,7 +118,9 @@ class TestMidRunEviction:
 
     def test_eviction_writes_a_crash_dump(self, tmp_path):
         crash_dir = str(tmp_path / "crashes")
-        with scoped(log=Logger(deterministic=True)):
+        ambient = MetricsRegistry()
+        ambient.counter("unrelated.process.counter").inc(42)
+        with scoped(log=Logger(deterministic=True), metrics=ambient):
             run_session(
                 [JobRequest(kind="sleep")],
                 ServiceConfig(
@@ -131,6 +134,10 @@ class TestMidRunEviction:
         dumps = os.listdir(crash_dir)
         assert len(dumps) == 1
         assert "service.job.job-0000" in dumps[0]
+        # The dump carries the job's own registry, not the ambient one.
+        with open(os.path.join(crash_dir, dumps[0])) as handle:
+            doc = json.load(handle)
+        assert "unrelated.process.counter" not in doc["metrics"]["counters"]
 
 
 class TestEvictVerb:

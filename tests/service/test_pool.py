@@ -6,9 +6,11 @@ capacity.  The 1k-churn test hammers every terminal path at once.
 """
 
 import asyncio
+from collections import Counter
 
 import pytest
 
+from repro.obs import attribution_violations
 from repro.service import (
     EDAService,
     JobCancelled,
@@ -225,7 +227,9 @@ def inline_and_thread():
 
 
 class TestThreadMode:
-    """Thread mode keeps inline mode's outcomes, up to completion order."""
+    """Thread mode keeps inline mode's outcomes, up to completion order:
+    results, per-job metrics, billing, attribution and the stitched trace
+    all match, and completed ids match as a set."""
 
     def test_every_job_is_terminal_and_slots_balance(self, inline_and_thread):
         for result in inline_and_thread.values():
@@ -246,12 +250,43 @@ class TestThreadMode:
             == inline.registry.snapshot().to_dict()["counters"]
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="thread mode records no per-job metric registry",
-    )
     def test_per_job_metrics_match(self, inline_and_thread):
         inline = inline_and_thread["inline"].service
         thread = inline_and_thread["thread"].service
         for job_id, job in inline.jobs.items():
             assert thread.jobs[job_id].metrics == job.metrics
+
+    def test_billing_counters_equal_each_result(self, inline_and_thread):
+        thread = inline_and_thread["thread"].service
+        checked = 0
+        for job in thread.jobs.values():
+            totals = job.result.get("execution", job.result)
+            if "billed_seconds" not in totals:
+                continue
+            counters = job.metrics["counters"]
+            assert counters["executor.billed_seconds"] == (
+                totals["billed_seconds"]
+            )
+            assert counters["executor.billed_cost"] == totals["billed_cost"]
+            checked += 1
+        assert checked == 3
+
+    def test_attribution_holds(self, inline_and_thread):
+        assert attribution_violations(inline_and_thread["thread"].service) == []
+
+    def test_every_span_is_stitched_under_a_job_trace(self, inline_and_thread):
+        thread = inline_and_thread["thread"].service
+        trace_ids = {job.trace_id for job in thread.jobs.values()}
+        assert thread.tracer.spans
+        assert all(span.trace_id in trace_ids for span in thread.tracer.spans)
+
+    def test_span_names_match_inline(self, inline_and_thread):
+        def names(mode):
+            spans = inline_and_thread[mode].service.tracer.spans
+            return Counter(span.name for span in spans)
+
+        assert names("thread") == names("inline")
+
+    def test_shared_flow_is_built_once(self, inline_and_thread):
+        thread = inline_and_thread["thread"].service
+        assert len(thread.tracer.find("flow")) == 1
