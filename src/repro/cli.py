@@ -20,11 +20,10 @@ Exposes the paper's workflow as terminal commands:
   with backoff, on-demand fallback, mid-flight re-planning) and print
   the replayable execution trace.
 * ``repro trace``        — run a workload (flow or plan execution) under
-  the observability tracer and print/export the hierarchical span tree
-  (text, JSON, or Chrome ``chrome://tracing`` format) plus metrics.
-* ``repro profile``      — run a workload under the tracer and print the
-  per-frame *self-time* profile; export folded stacks (flamegraph
-  input), a self-contained HTML flame view, or the profile JSON.
+  the observability tracer; print the hierarchical span tree, metrics
+  and the per-frame *self-time* table, and export the trace (JSON or
+  Chrome ``chrome://tracing`` format) or folded stacks (flamegraph
+  input).
 * ``repro report``       — regression dashboard over the run store:
   terminal sparklines, MAD outlier warnings, deterministic-metric drift
   checks (non-zero exit on drift), optional self-contained HTML.
@@ -246,48 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome", default=None, metavar="FILE",
         help="write a chrome://tracing trace-event file here",
     )
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="run a workload under the tracer and print the self-time "
-        "profile (folded stacks / flame HTML / JSON)",
-    )
-    p_prof.add_argument(
-        "--workload",
-        choices=["flow", "execute"],
-        default="flow",
-        help="what to profile (default: flow)",
-    )
-    p_prof.add_argument("--design", default="ctrl")
-    p_prof.add_argument("--scale", type=float, default=0.5)
-    p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument(
-        "--profile",
-        dest="fault_profile",
-        choices=sorted(FAULT_PROFILES),
-        default="calm",
-        help="fault profile for --workload execute",
-    )
-    p_prof.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="tick clock: byte-stable folded/JSON output for one seed",
-    )
-    p_prof.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="rows to print in the frame table (default: 15)",
-    )
-    p_prof.add_argument(
+    p_trace.add_argument(
         "--folded", default=None, metavar="FILE",
         help="write Brendan-Gregg collapsed/folded stacks here",
-    )
-    p_prof.add_argument(
-        "--html", default=None, metavar="FILE",
-        help="write a self-contained HTML flame view here",
-    )
-    p_prof.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the repro-profile/1 JSON document here",
     )
 
     p_report = sub.add_parser(
@@ -316,16 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only report runs of this kind; matches exactly or by "
         "dotted prefix, e.g. 'service' also selects service.job "
         "(repeatable; default: all kinds)",
-    )
-    p_report.add_argument(
-        "--slo-spec", default=None, metavar="FILE",
-        help="also evaluate this repro-slo/1 spec over the reported runs; "
-        "a violated SLO makes the report exit non-zero",
-    )
-    p_report.add_argument(
-        "--slo-window", type=int, default=0, metavar="N",
-        help="with --slo-spec: error-budget burn per window of N records "
-        "(default: 0 = whole-set burn only)",
     )
 
     p_slo = sub.add_parser(
@@ -705,45 +655,6 @@ def _bench_plan(runtimes: Dict[EDAStage, float]) -> DeploymentPlan:
     return plan
 
 
-def _run_traced_workload(
-    workload: str,
-    design: str,
-    scale: float,
-    seed: int,
-    fault_profile: str = "calm",
-) -> None:
-    """Run one seeded workload under the already-scoped obs state.
-
-    Shared by ``repro trace`` and ``repro profile`` so both commands
-    measure exactly the same code paths.
-    """
-    if workload == "flow":
-        from .perf import make_instrument
-
-        runner = FlowRunner(seed=seed)
-        aig = benchmarks.build(design, scale)
-        instruments = {
-            stage: make_instrument(4, sample_rate=4)
-            for stage in EDAStage.ordered()
-        }
-        runner.run(aig, seed=seed, instruments=instruments)
-    else:
-        from .cloud.executor import ExecutionPolicy, PlanExecutor
-
-        runner = FlowRunner(seed=seed)
-        aig = benchmarks.build(design, scale)
-        flow = runner.run(aig, seed=seed)
-        plan = _bench_plan({s: r.runtime(4) for s, r in flow.stages.items()})
-        PlanExecutor(
-            profile=FAULT_PROFILES[fault_profile](),
-            policy=ExecutionPolicy(),
-        ).execute(
-            plan,
-            deadline_seconds=plan.total_runtime * 4,
-            seed=seed,
-        )
-
-
 def _cmd_trace(args) -> int:
     import json as _json
 
@@ -754,22 +665,43 @@ def _cmd_trace(args) -> int:
         to_chrome_trace,
         to_json_doc,
     )
+    from .obs.profile import build_profile, render_profile
 
     tracer = Tracer(deterministic=args.deterministic)
     registry = MetricsRegistry()
     with scoped(tracer=tracer, metrics=registry):
-        _run_traced_workload(
-            args.workload,
-            args.design,
-            args.scale,
-            args.seed,
-            fault_profile=args.profile,
-        )
+        runner = FlowRunner(seed=args.seed)
+        aig = benchmarks.build(args.design, args.scale)
+        if args.workload == "flow":
+            from .perf import make_instrument
+
+            instruments = {
+                stage: make_instrument(4, sample_rate=4)
+                for stage in EDAStage.ordered()
+            }
+            runner.run(aig, seed=args.seed, instruments=instruments)
+        else:
+            from .cloud.executor import ExecutionPolicy, PlanExecutor
+
+            flow = runner.run(aig, seed=args.seed)
+            plan = _bench_plan(
+                {s: r.runtime(4) for s, r in flow.stages.items()}
+            )
+            PlanExecutor(
+                profile=FAULT_PROFILES[args.profile](),
+                policy=ExecutionPolicy(),
+            ).execute(
+                plan,
+                deadline_seconds=plan.total_runtime * 4,
+                seed=args.seed,
+            )
     snapshot = registry.snapshot()
+    profile = build_profile(tracer.spans)
     print(render_tree(tracer.spans, unit="ms"))
     rendered = render_metrics(snapshot)
     if rendered:
         print(rendered)
+    print(render_profile(profile))
     if args.json:
         with open(args.json, "w") as handle:
             _json.dump(
@@ -781,50 +713,10 @@ def _cmd_trace(args) -> int:
         with open(args.chrome, "w") as handle:
             _json.dump(to_chrome_trace(tracer.spans), handle, sort_keys=True)
         print(f"chrome trace written to {args.chrome}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import json as _json
-
-    from .obs import MetricsRegistry, Tracer, scoped
-    from .obs.profile import build_profile, render_flame_html, render_profile
-
-    tracer = Tracer(deterministic=args.deterministic)
-    registry = MetricsRegistry()
-    with scoped(tracer=tracer, metrics=registry):
-        _run_traced_workload(
-            args.workload,
-            args.design,
-            args.scale,
-            args.seed,
-            fault_profile=args.fault_profile,
-        )
-    meta = {
-        "workload": args.workload,
-        "design": args.design,
-        "scale": args.scale,
-        "seed": args.seed,
-    }
-    profile = build_profile(
-        tracer.spans, deterministic=args.deterministic, meta=meta
-    )
-    print(render_profile(profile, top=args.top))
     if args.folded:
         with open(args.folded, "w") as handle:
             handle.write(profile.to_folded())
         print(f"folded stacks written to {args.folded}")
-    if args.html:
-        title = f"repro profile — {args.workload} {args.design}"
-        with open(args.html, "w") as handle:
-            handle.write(render_flame_html(profile, title=title))
-            handle.write("\n")
-        print(f"flame view written to {args.html}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            _json.dump(profile.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"profile JSON written to {args.json}")
     return 0
 
 
@@ -848,21 +740,8 @@ def _cmd_report(args) -> int:
     if args.window < 1:
         print("--window must be >= 1", file=sys.stderr)
         return 2
-    slo_spec = None
-    if args.slo_spec:
-        from .obs.slo import SLOSpecError, load_slo_spec
-
-        try:
-            slo_spec = load_slo_spec(args.slo_spec)
-        except SLOSpecError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     report = build_report(
-        runs,
-        window=args.window,
-        metric_filter=args.metric,
-        slo_spec=slo_spec,
-        slo_window=max(0, args.slo_window),
+        runs, window=args.window, metric_filter=args.metric
     )
     print(render_text(report, store_path=store.path))
     if args.html:
@@ -1140,7 +1019,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "execute": _cmd_execute,
     "trace": _cmd_trace,
-    "profile": _cmd_profile,
     "report": _cmd_report,
     "slo": _cmd_slo,
     "serve": _cmd_serve,

@@ -13,7 +13,7 @@ the same discipline to our own hot paths:
 * :mod:`repro.obs.log`     — structured span-correlated log records, the
   bounded ring-buffer flight recorder, and replayable crash dumps,
 * :mod:`repro.obs.profile` — the deterministic self-time profiler over
-  the span tree and its folded-stack/flame/JSON exports,
+  the span tree, its frame table and its folded-stack export,
 * :mod:`repro.obs.store`   — the append-only multi-run telemetry store
   (JSONL under ``benchmarks/runs/``) with series/percentile queries,
 * :mod:`repro.obs.report`  — the ``repro report`` terminal/HTML
@@ -79,14 +79,7 @@ from .metrics import (
     parse_labeled_name,
     snapshot_from_dict,
 )
-from .profile import (
-    PROFILE_SCHEMA,
-    FrameStat,
-    Profile,
-    build_profile,
-    render_flame_html,
-    render_profile,
-)
+from .profile import FrameStat, Profile, build_profile, render_profile
 from .slo import (
     SLO_SCHEMA,
     ObjectiveResult,
@@ -94,7 +87,6 @@ from .slo import (
     SLOReport,
     SLOSpec,
     SLOSpecError,
-    burn_sparkline,
     evaluate_slo,
     load_slo_spec,
     parse_slo_spec,
@@ -117,7 +109,6 @@ __all__ = [
     "CRASH_SCHEMA",
     "MAX_BIN",
     "MIN_BIN",
-    "PROFILE_SCHEMA",
     "SLO_SCHEMA",
     "ZERO_BIN",
     "Attribution",
@@ -150,12 +141,10 @@ __all__ = [
     "bin_bounds",
     "build_crash_report",
     "build_profile",
-    "burn_sparkline",
     "evaluate_slo",
     "load_slo_spec",
     "parse_openmetrics",
     "parse_slo_spec",
-    "render_flame_html",
     "render_profile",
     "crash_scope",
     "default_crash_dir",

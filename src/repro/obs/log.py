@@ -237,7 +237,7 @@ def build_crash_report(
     logger = logger if logger is not None else get_logger()
     tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics if metrics is not None else get_metrics()
-    profile = build_profile(tracer.spans, deterministic=tracer.deterministic)
+    profile = build_profile(tracer.spans)
     doc = {
         "schema": CRASH_SCHEMA,
         "component": component,

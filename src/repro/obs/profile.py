@@ -11,11 +11,9 @@ says *which frame* regressed.  Three layers:
   tracer's tick-clock mode every quantity is an exact integer, so two
   same-seed runs produce byte-identical profiles; under the wall clock
   the same code paths yield real timings.
-* Exports: :meth:`Profile.to_folded` emits Brendan-Gregg collapsed-stack
-  text (``root;child;leaf <self-microseconds>``, sorted — pipe into any
-  flamegraph tool), :func:`render_flame_html` a self-contained light/dark
-  HTML flame view, and :meth:`Profile.to_dict` the ``repro-profile/1``
-  JSON document.
+* :meth:`Profile.to_folded` emits Brendan-Gregg collapsed-stack text
+  (``root;child;leaf <self-microseconds>``, sorted — pipe into any
+  flamegraph tool); ``repro trace --folded`` writes it.
 * :func:`render_profile` prints the hottest frames as a flat table.
 
 Timing regressions are gated by ``benchmarks/perf`` alone; for code
@@ -26,22 +24,17 @@ is the function-level fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .spans import Span
 
 __all__ = [
-    "PROFILE_SCHEMA",
     "FUSED_TAGS",
     "FrameStat",
     "Profile",
     "build_profile",
     "render_profile",
-    "render_flame_html",
 ]
-
-#: Schema tag stamped into every exported profile document.
-PROFILE_SCHEMA = "repro-profile/1"
 
 #: Span tags fused into frames when present and numeric — the counter
 #: deltas the instrumented engines attach via ``Instrument.span_delta``.
@@ -69,26 +62,12 @@ class FrameStat:
         """The leaf frame name (last path component)."""
         return self.path.rsplit("/", 1)[-1]
 
-    def to_dict(self) -> dict:
-        doc = {
-            "calls": self.calls,
-            "total": self.total,
-            "self": self.self_time,
-        }
-        if self.counters:
-            doc["counters"] = {
-                k: self.counters[k] for k in sorted(self.counters)
-            }
-        return doc
-
 
 @dataclass
 class Profile:
-    """A set of frames keyed by stack path, plus run metadata."""
+    """A set of frames keyed by stack path."""
 
     frames: Dict[str, FrameStat] = field(default_factory=dict)
-    deterministic: bool = False
-    meta: Dict[str, object] = field(default_factory=dict)
 
     @property
     def total_self(self) -> float:
@@ -114,23 +93,8 @@ class Profile:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_dict(self) -> dict:
-        """The ``repro-profile/1`` JSON document."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "deterministic": self.deterministic,
-            "meta": {k: self.meta[k] for k in sorted(self.meta)},
-            "frames": {
-                path: self.frames[path].to_dict()
-                for path in sorted(self.frames)
-            },
-        }
 
-def build_profile(
-    spans: Sequence[Span],
-    deterministic: bool = False,
-    meta: Optional[Dict[str, object]] = None,
-) -> Profile:
+def build_profile(spans: Sequence[Span]) -> Profile:
     """Aggregate finished spans into per-stack-path frames.
 
     Self time is span duration minus the summed duration of the span's
@@ -160,7 +124,7 @@ def build_profile(
             parent_id = parent.parent_id
         return "/".join(reversed(parts))
 
-    profile = Profile(deterministic=deterministic, meta=dict(meta or {}))
+    profile = Profile()
     for span in spans:
         if not span.finished:
             continue
@@ -207,135 +171,3 @@ def render_profile(profile: Profile, top: int = 15) -> str:
         f"(top {shown} shown)"
     )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Flame view (self-contained HTML, light/dark via prefers-color-scheme)
-# ----------------------------------------------------------------------
-_FLAME_STYLE = """
-:root { color-scheme: light dark; }
-.viz-root {
-  --surface-1: #fcfcfb; --text-primary: #0b0b0b; --text-secondary: #52514e;
-  --border: #e4e3df;
-  background: var(--surface-1); color: var(--text-primary);
-  font: 13px/1.4 system-ui, sans-serif; margin: 0; padding: 24px;
-}
-@media (prefers-color-scheme: dark) {
-  .viz-root {
-    --surface-1: #1a1a19; --text-primary: #ffffff;
-    --text-secondary: #c3c2b7; --border: #3a3a38;
-  }
-}
-.viz-root h1 { font-size: 18px; margin: 0 0 4px; }
-.viz-root .sub { color: var(--text-secondary); margin: 0 0 16px; }
-.flame { max-width: 1100px; }
-.frame { box-sizing: border-box; }
-.frame > .bar {
-  overflow: hidden; white-space: nowrap; text-overflow: ellipsis;
-  border: 1px solid var(--surface-1); border-radius: 2px;
-  padding: 1px 4px; color: #1d1500;
-}
-.frame > .kids { display: flex; align-items: flex-start; }
-"""
-
-#: Warm categorical ramp cycled by depth; dark text stays readable on all.
-_FLAME_COLORS = ("#fcbf49", "#f79d65", "#f4a261", "#e9c46a", "#f6bd60")
-
-
-def _flame_tree(profile: Profile) -> List[dict]:
-    """Nest flat paths into root nodes sized by inclusive time.
-
-    A node's inclusive value is its own ``total`` when present, else the
-    sum of its children (paths can be sparse when parent spans carried
-    no frame of their own).
-    """
-    roots: List[dict] = []
-    nodes: Dict[str, dict] = {}
-    for path in sorted(profile.frames):
-        frame = profile.frames[path]
-        parts = path.split("/")
-        parent: Optional[dict] = None
-        for depth in range(len(parts)):
-            key = "/".join(parts[: depth + 1])
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = {
-                    "name": parts[depth],
-                    "total": 0.0,
-                    "self": 0.0,
-                    "calls": 0,
-                    "children": [],
-                }
-                (parent["children"] if parent else roots).append(node)
-            parent = node
-        parent["total"] += frame.total
-        parent["self"] += frame.self_time
-        parent["calls"] += frame.calls
-
-    def fill(node: dict) -> float:
-        child_sum = sum(fill(c) for c in node["children"])
-        node["total"] = max(node["total"], child_sum)
-        return node["total"]
-
-    for root in roots:
-        fill(root)
-    return roots
-
-
-def _escape(text: object) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def render_flame_html(profile: Profile, title: str = "repro profile") -> str:
-    """Self-contained flame view: nested width-proportional bars.
-
-    No JavaScript, no external assets — widths are flex-basis
-    percentages of the parent's inclusive time, tooltips are native
-    ``title`` attributes, and colors cycle a warm ramp by depth that
-    reads in both light and dark mode.
-    """
-    roots = _flame_tree(profile)
-    grand_total = sum(r["total"] for r in roots) or 1.0
-
-    def node_html(node: dict, depth: int, parent_total: float) -> str:
-        share = 100.0 * node["total"] / parent_total if parent_total else 0.0
-        color = _FLAME_COLORS[depth % len(_FLAME_COLORS)]
-        tip = (
-            f"{node['name']}: total {node['total'] * 1e3:.3f}ms, "
-            f"self {node['self'] * 1e3:.3f}ms, calls {node['calls']}"
-        )
-        kids = "".join(
-            node_html(child, depth + 1, node["total"])
-            for child in node["children"]
-        )
-        return (
-            f'<div class="frame" style="flex: 0 0 {share:.4f}%; '
-            f'max-width: {share:.4f}%;" title="{_escape(tip)}">'
-            f'<div class="bar" style="background: {color};">'
-            f"{_escape(node['name'])}</div>"
-            + (f'<div class="kids">{kids}</div>' if kids else "")
-            + "</div>"
-        )
-
-    body = "".join(node_html(root, 0, grand_total) for root in roots)
-    clock = "tick clock (deterministic)" if profile.deterministic else "wall clock"
-    return "\n".join(
-        [
-            "<!DOCTYPE html>",
-            '<html><head><meta charset="utf-8">',
-            f"<title>{_escape(title)}</title>",
-            f"<style>{_FLAME_STYLE}</style>",
-            '</head><body class="viz-root">',
-            f"<h1>{_escape(title)}</h1>",
-            f'<p class="sub">{len(profile.frames)} frames, '
-            f"{profile.total_self * 1e3:.3f}ms self time, {clock}</p>",
-            f'<div class="flame" style="display:flex;">{body}</div>',
-            "</body></html>",
-        ]
-    )

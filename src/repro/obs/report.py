@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .profile import _escape
-from .slo import _SPARK_BLOCKS, SLOReport, SLOSpec, evaluate_slo
 from .store import (
     RunRecord,
     histogram_percentile,
@@ -74,6 +72,8 @@ MAD_THRESHOLD = 3.5
 #: Consistency constant: robust z = _MAD_SCALE * (x - median) / MAD.
 _MAD_SCALE = 0.6745
 
+_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+
 
 @dataclass(frozen=True)
 class RegressionFlag:
@@ -115,15 +115,10 @@ class RunReport:
     histogram_rows: List[HistogramRow] = field(default_factory=list)
     drift: List[RegressionFlag] = field(default_factory=list)
     window: int = 8
-    #: SLO evaluation over the same runs, when a spec was supplied.
-    slo: Optional[SLOReport] = None
 
     @property
     def ok(self) -> bool:
-        """True iff no deterministic metric drifted and no SLO is violated
-        (MAD flags warn only)."""
-        if self.slo is not None and self.slo.violated:
-            return False
+        """True iff no deterministic metric drifted (MAD flags warn only)."""
         return not self.drift
 
     @property
@@ -131,18 +126,31 @@ class RunReport:
         return [r.flag for r in self.rows if r.flag is not None]
 
 
-def sparkline(values: Sequence[float]) -> str:
-    """Unicode trend line: one block character per value."""
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        return _SPARK_BLOCKS[3] * len(values)
-    span = hi - lo
+def sparkline(
+    values: Sequence[Optional[float]],
+    lo: Optional[float] = None,
+    hi: Optional[float] = None,
+) -> str:
+    """Unicode trend line: one block character per value.
+
+    The scale runs from ``lo`` to ``hi`` (default: the series' own min
+    and max); values outside it are clamped, ``None`` renders as ``·``,
+    and a flat scale draws every value at the fourth block.
+    """
+    present = [v for v in values if v is not None]
+    lo = min(present, default=0.0) if lo is None else lo
+    hi = max(present, default=0.0) if hi is None else hi
     top = len(_SPARK_BLOCKS) - 1
-    return "".join(
-        _SPARK_BLOCKS[min(top, int((v - lo) / span * top))] for v in values
-    )
+    out = []
+    for value in values:
+        if value is None:
+            out.append("·")
+        elif hi <= lo:
+            out.append(_SPARK_BLOCKS[3])
+        else:
+            scaled = (min(hi, max(lo, value)) - lo) / (hi - lo)
+            out.append(_SPARK_BLOCKS[min(top, int(scaled * top))])
+    return "".join(out)
 
 
 def mad_outlier(
@@ -244,20 +252,10 @@ def build_report(
     window: int = 8,
     metric_filter: Optional[Sequence[str]] = None,
     deterministic_metrics: Sequence[str] = DETERMINISTIC_METRICS,
-    slo_spec: Optional[SLOSpec] = None,
-    slo_window: int = 0,
 ) -> RunReport:
-    """Assemble the full report: rows, histogram summaries, drift flags.
-
-    When ``slo_spec`` is given the report also carries its evaluation
-    (burn windows sized by ``slo_window``) and a violated SLO makes the
-    report not-``ok`` — ``repro report`` then exits non-zero exactly
-    like deterministic drift does.
-    """
+    """Assemble the full report: rows, histogram summaries, drift flags."""
     runs = list(runs)
     report = RunReport(runs=runs, window=window)
-    if slo_spec is not None:
-        report.slo = evaluate_slo(slo_spec, runs, window=slo_window)
     if not runs:
         return report
 
@@ -338,8 +336,6 @@ def render_text(report: RunReport, store_path: str = "") -> str:
                 f"{k}={v:.6g}" for k, v in sorted(hist.percentiles.items())
             )
             lines.append(f"  {hist.name:<42} n={hist.count:<6} {ps}")
-    if report.slo is not None:
-        lines.extend(report.slo.render())
     if report.drift:
         lines.append(
             f"DETERMINISTIC DRIFT: {len(report.drift)} metric group(s) "
@@ -355,6 +351,16 @@ def render_text(report: RunReport, store_path: str = "") -> str:
 # ----------------------------------------------------------------------
 # HTML dashboard (self-contained: inline CSS + SVG, no external assets)
 # ----------------------------------------------------------------------
+def _escape(text: object) -> str:
+    return (
+        str(text)
+        .replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
+
+
 def _spark_svg(values: Sequence[float], width: int = 160, height: int = 36) -> str:
     """Inline SVG sparkline; native <title> tooltips carry the values."""
     if not values:
@@ -535,42 +541,6 @@ def render_html(report: RunReport, store_path: str = "") -> str:
                     for key in ("p50", "p90", "p99")
                 )
                 + "</tr>"
-            )
-        parts.append("</table>")
-
-    if report.slo is not None:
-        slo = report.slo
-        verdict = "VIOLATED" if slo.violated else "ok"
-        parts.append(
-            f"<h2>SLO: {_escape(slo.spec.name)} ({verdict})</h2><table>"
-        )
-        parts.append(
-            "<tr><th>objective</th><th>type</th><th>value</th>"
-            "<th>target</th><th>burn</th><th>burn per window</th>"
-            "<th>verdict</th></tr>"
-        )
-        for result in slo.results:
-            if result.no_data:
-                verdict_cell = "pass (no data)"
-            elif result.passed:
-                verdict_cell = "pass"
-            else:
-                verdict_cell = (
-                    '<span class="flag-drift"><span class="chip">'
-                    "✗ violated</span></span>"
-                )
-            value = "-" if result.value is None else f"{result.value:.6g}"
-            burn = "-" if result.burn is None else f"{result.burn:.3f}"
-            # Sparkline over burn per window; empty windows plot as 0.
-            burns = [b if b is not None else 0.0 for b in result.windows]
-            parts.append(
-                f"<tr><td>{_escape(result.name)}</td>"
-                f"<td>{_escape(result.type)}</td>"
-                f'<td class="num">{value}</td>'
-                f'<td class="num">{result.target:.6g}</td>'
-                f'<td class="num">{burn}</td>'
-                f"<td>{_spark_svg(burns)}</td>"
-                f"<td>{verdict_cell}</td></tr>"
             )
         parts.append("</table>")
 

@@ -36,7 +36,7 @@ Error-budget burn windows
 
 ``window`` splits the filtered records into consecutive chunks of that
 many records (the last chunk may be short); each objective reports its
-burn per window, which the report renderer draws as a sparkline.  The
+burn per window, which :meth:`SLOReport.render` draws as a sparkline.  The
 windows always partition the record list — another oracle-checked
 invariant.
 """
@@ -47,6 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .report import sparkline
 from .store import (
     EmptyHistogramError,
     RunRecord,
@@ -68,7 +69,6 @@ __all__ = [
     "parse_slo_spec",
     "load_slo_spec",
     "evaluate_slo",
-    "burn_sparkline",
 ]
 
 #: Schema tag every spec document must carry.
@@ -76,8 +76,6 @@ SLO_SCHEMA = "repro-slo/1"
 
 #: Recognized objective types.
 OBJECTIVE_TYPES = ("ratio", "latency", "cost")
-
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 
 class SLOError(Exception):
@@ -322,23 +320,11 @@ class SLOReport:
                 f"target={r.target:.6g} burn={burn}"
             )
             if r.windows:
-                line += f" {burn_sparkline(r.windows)}"
+                # Scaled so burn=1 is the top block: a full-height bar
+                # means the window ate its whole budget.
+                line += f" {sparkline(r.windows, lo=0.0, hi=1.0)}"
             lines.append(line)
         return lines
-
-
-def burn_sparkline(values: Sequence[Optional[float]]) -> str:
-    """Unicode sparkline of per-window burns, scaled so burn=1 is the
-    top block — a full-height bar means the window ate its whole budget.
-    Windows with no data render as ``·``."""
-    out = []
-    for value in values:
-        if value is None:
-            out.append("·")
-            continue
-        scaled = min(1.0, max(0.0, value))
-        out.append(_SPARK_BLOCKS[int(scaled * (len(_SPARK_BLOCKS) - 1))])
-    return "".join(out)
 
 
 def _eval_ratio(

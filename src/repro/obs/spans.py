@@ -18,8 +18,8 @@ usable as *test fixtures* and not just as profiling output:
 :func:`get_tracer` reads the ambient tracer from a
 :class:`contextvars.ContextVar` whose default is *disabled*;
 :func:`repro.obs.scoped` sets it for a ``with`` block, so ``repro
-trace`` / ``repro profile``, the tests and each service job install
-their own tracer without touching any other thread's or task's.
+trace``, the tests and each service job install their own tracer
+without touching any other thread's or task's.
 """
 
 from __future__ import annotations

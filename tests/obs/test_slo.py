@@ -7,11 +7,11 @@ import pytest
 from repro.obs.slo import (
     SLO_SCHEMA,
     SLOSpecError,
-    burn_sparkline,
     evaluate_slo,
     load_slo_spec,
     parse_slo_spec,
 )
+from repro.obs.report import sparkline
 from repro.obs.store import RunRecord
 from repro.service import ServiceConfig, run_session, seeded_job_mix
 
@@ -171,42 +171,10 @@ class TestEvaluation:
 
 class TestSparkline:
     def test_burn_one_is_full_block(self):
-        assert burn_sparkline([1.0]) == "█"
-        assert burn_sparkline([0.0]) == "▁"
-        assert burn_sparkline([None]) == "·"
-        assert burn_sparkline([5.0]) == "█"  # clamped
+        assert sparkline([1.0], lo=0.0, hi=1.0) == "█"
+        assert sparkline([0.0], lo=0.0, hi=1.0) == "▁"
+        assert sparkline([None], lo=0.0, hi=1.0) == "·"
+        assert sparkline([5.0], lo=0.0, hi=1.0) == "█"  # clamped
 
     def test_length_matches_windows(self):
-        assert len(burn_sparkline([0.1, 0.5, None, 1.0])) == 4
-
-
-class TestReportIntegration:
-    def test_build_report_carries_slo_and_gates_ok(self):
-        from repro.obs.report import build_report
-
-        records = _records()
-        doc = _spec_doc()
-        doc["objectives"][2]["budget"] = 1e-9  # force a violation
-        report = build_report(
-            records, slo_spec=parse_slo_spec(doc), slo_window=4
-        )
-        assert report.slo is not None and report.slo.violated
-        assert not report.ok
-
-    def test_render_text_includes_slo_section(self):
-        from repro.obs.report import build_report, render_text
-
-        report = build_report(
-            _records(), slo_spec=parse_slo_spec(_spec_doc())
-        )
-        text = render_text(report)
-        assert "SLO 'test-slo'" in text
-
-    def test_render_html_includes_slo_section(self):
-        from repro.obs.report import build_report, render_html
-
-        report = build_report(
-            _records(), slo_spec=parse_slo_spec(_spec_doc()), slo_window=4
-        )
-        html = render_html(report)
-        assert "SLO: test-slo" in html
+        assert len(sparkline([0.1, 0.5, None, 1.0], lo=0.0, hi=1.0)) == 4
