@@ -1,7 +1,8 @@
-"""Profiler tests: self-time math, folded export, frame table, crash dumps."""
+"""Profiler tests: self-time math, folded export, frame table, CLI, crash dumps."""
 
 import pytest
 
+from repro.cli import main
 from repro.obs import Tracer, scoped
 from repro.obs.log import build_crash_report, Logger
 from repro.obs.profile import (
@@ -109,6 +110,21 @@ class TestRenderProfile:
         assert "root" in text and "root/child.a" in text
         assert "root/child.b" not in text
         assert "3 frames" in text
+
+
+class TestProfileCli:
+    def test_execute_workload(self, capsys):
+        # `repro trace` prints the self-time table after the span tree.
+        code = main(
+            [
+                "trace", "--workload", "execute", "--design", "ctrl",
+                "--scale", "0.2", "--seed", "1", "--profile", "heavy",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "execute/stage.synthesis" in out
+        assert "total self time" in out
 
 
 class TestCrashReportProfile:
