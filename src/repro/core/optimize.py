@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..cloud.instance import VMConfig
 from ..cloud.pricing import PricingTable, aws_like_catalog
 from ..cloud.provisioner import RECOMMENDED_FAMILY, DeploymentPlan
@@ -205,32 +207,44 @@ class MCKPTable:
         self.stages = list(stages)
         self.capacity = _check_deadline(self.stages, capacity_seconds)
         self.maximize_inverse_price = maximize_inverse_price
-        neg_inf = float("-inf")
+        size = self.capacity + 1
 
         # value[c] = best objective over all stages with total time exactly
         # c; choices[l][c] backtracks stage l's option index at state c.
-        value = [0.0 if c == 0 else neg_inf for c in range(self.capacity + 1)]
-        choices: List[List[int]] = []
+        # Each option relaxes every state at once: within one option the
+        # states are independent, and a ``-inf + gain`` candidate never
+        # wins the strict ``>``, so this is the scalar recurrence bit for
+        # bit (same IEEE additions, same first-option-wins tie-breaks).
+        value = np.full(size, -np.inf)
+        value[0] = 0.0
+        choices: List[np.ndarray] = []
         for stage_opts in self.stages:
-            new_value = [neg_inf] * (self.capacity + 1)
-            new_choice = [-1] * (self.capacity + 1)
+            new_value = np.full(size, -np.inf)
+            new_choice = np.full(size, -1, dtype=np.int64)
             for j, opt in enumerate(stage_opts.options):
                 t = opt.runtime_seconds
+                if t >= size:
+                    continue
                 gain = (
                     opt.inverse_price if maximize_inverse_price else -opt.price
                 )
-                for c in range(t, self.capacity + 1):
-                    prev = value[c - t]
-                    if prev == neg_inf:
-                        continue
-                    candidate = prev + gain
-                    if candidate > new_value[c]:
-                        new_value[c] = candidate
-                        new_choice[c] = j
+                candidate = value[: size - t] + gain
+                better = candidate > new_value[t:]
+                new_value[t:][better] = candidate[better]
+                new_choice[t:][better] = j
             value = new_value
             choices.append(new_choice)
         self._value = value
         self._choices = choices
+        # best[c] = first state in 0..c holding the highest value, i.e.
+        # max(range(c + 1), key=value.__getitem__): the prefix maximum
+        # changes only where a value strictly exceeds every earlier one.
+        running = np.maximum.accumulate(value)
+        rises = np.zeros(size, dtype=np.int64)
+        rises[1:] = np.where(
+            value[1:] > running[:-1], np.arange(1, size), 0
+        )
+        self._best = np.maximum.accumulate(rises)
 
     def query(self, deadline_seconds: float) -> Optional[Selection]:
         """The optimal selection under any deadline ``<=`` the capacity."""
@@ -241,17 +255,15 @@ class MCKPTable:
             )
         if not self.stages:
             return Selection()
-        neg_inf = float("-inf")
-        value = self._value
-        best_c = max(range(capacity + 1), key=lambda c: value[c], default=0)
-        if value[best_c] == neg_inf:
+        best_c = int(self._best[capacity])
+        if self._value[best_c] == -np.inf:
             return None
 
         # Backtrack.
         selection = Selection()
         c = best_c
         for stage_idx in range(len(self.stages) - 1, -1, -1):
-            j = self._choices[stage_idx][c]
+            j = int(self._choices[stage_idx][c])
             if j < 0:
                 return None
             opt = self.stages[stage_idx].options[j]

@@ -200,6 +200,9 @@ class FleetPlanner:
         self._pruned_counts: Dict[str, int] = {}
         self._tables: Dict[str, MCKPTable] = {}
         self._cells: Dict[Tuple[str, int], GroupPlan] = {}
+        # Each menu's cell keys, so invalidating one menu touches only
+        # its own cells rather than scanning every menu's.
+        self._menu_cells: Dict[str, List[Tuple[str, int]]] = {}
         self._invalidations = 0
 
     # -- menu registry ----------------------------------------------------
@@ -238,7 +241,7 @@ class FleetPlanner:
         for victim in victims:
             if self._tables.pop(victim, None) is not None:
                 dropped += 1
-            stale = [key for key in self._cells if key[0] == victim]
+            stale = self._menu_cells.pop(victim, [])
             dropped += len(stale)
             for key in stale:
                 del self._cells[key]
@@ -290,6 +293,9 @@ class FleetPlanner:
             cell = self._solve_cell(menu_id, capacity, stats)
             cell.flow_ids.extend(flow_ids)
             cells[(menu_id, capacity)] = cell
+            self._menu_cells.setdefault(menu_id, []).append(
+                (menu_id, capacity)
+            )
             groups.append(cell)
 
         for group in groups:

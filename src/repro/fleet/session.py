@@ -245,14 +245,16 @@ class ContinuousSession:
         # (repriced) menus; the executor's own fallback re-planning sees
         # the same prices the fleet planner just used.
         if self.execute_per_tick:
-            by_flow: Dict[str, Tuple[str, Optional[object]]] = {}
-            for group in plan.groups:
-                for flow_id in group.flow_ids:
-                    by_flow[flow_id] = (group.menu_id, group.selection)
             batch = self.pending[: self.execute_per_tick]
             self.pending = self.pending[self.execute_per_tick :]
+            # A flow's group is its (menu, floor(deadline)) cell, so the
+            # lookup costs one probe per executed flow, not a pass over
+            # every planned flow id.
+            cells = {(g.menu_id, g.capacity): g for g in plan.groups}
             for spec in batch:
-                menu_id, selection = by_flow[spec.flow_id]
+                selection = cells[
+                    (spec.menu_id, int(spec.deadline_seconds))
+                ].selection
                 if selection is None:
                     continue  # infeasible flows stay unexecuted
                 deployment = selection.to_plan(spec.flow_id)
@@ -260,7 +262,7 @@ class ContinuousSession:
                     deployment,
                     deadline_seconds=spec.deadline_seconds,
                     seed=self._flow_seed(spec.flow_id),
-                    stage_options=self.live_menus[menu_id],
+                    stage_options=self.live_menus[spec.menu_id],
                     record_events=False,
                     trace_context=self._flow_trace_id(spec.flow_id),
                 )

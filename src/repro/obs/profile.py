@@ -5,12 +5,10 @@ says *which frame* regressed.  Three layers:
 
 * :func:`build_profile` derives, from a finished span list, one
   :class:`FrameStat` per call-stack path — inclusive time, **self time**
-  (span duration minus the duration of its direct children), call count,
-  and the fused perf-counter tags (instructions / branches / memory /
-  flops) the instrumented engines attach to their spans.  Under the
-  tracer's tick-clock mode every quantity is an exact integer, so two
-  same-seed runs produce byte-identical profiles; under the wall clock
-  the same code paths yield real timings.
+  (span duration minus the duration of its direct children) and call
+  count.  Under the tracer's tick-clock mode every quantity is an exact
+  integer, so two same-seed runs produce byte-identical profiles; under
+  the wall clock the same code paths yield real timings.
 * :meth:`Profile.to_folded` emits Brendan-Gregg collapsed-stack text
   (``root;child;leaf <self-microseconds>``, sorted — pipe into any
   flamegraph tool); ``repro trace --folded`` writes it.
@@ -29,16 +27,11 @@ from typing import Dict, List, Sequence
 from .spans import Span
 
 __all__ = [
-    "FUSED_TAGS",
     "FrameStat",
     "Profile",
     "build_profile",
     "render_profile",
 ]
-
-#: Span tags fused into frames when present and numeric — the counter
-#: deltas the instrumented engines attach via ``Instrument.span_delta``.
-FUSED_TAGS = ("instructions", "branches", "mem_accesses", "flops")
 
 
 @dataclass
@@ -47,15 +40,13 @@ class FrameStat:
 
     ``path`` joins span names with ``/``, root first; ``total`` is
     inclusive seconds, ``self_time`` excludes time spent in child
-    spans.  ``counters`` holds the summed
-    :data:`FUSED_TAGS` for spans on this path that carried them.
+    spans.
     """
 
     path: str
     calls: int = 0
     total: float = 0.0
     self_time: float = 0.0
-    counters: Dict[str, float] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -137,10 +128,6 @@ def build_profile(spans: Sequence[Span]) -> Profile:
         frame.self_time += max(
             0.0, span.duration - child_time.get(span.span_id, 0.0)
         )
-        for tag in FUSED_TAGS:
-            value = span.tags.get(tag)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                frame.counters[tag] = frame.counters.get(tag, 0.0) + value
     return profile
 
 

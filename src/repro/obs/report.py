@@ -430,11 +430,6 @@ _HTML_STYLE = """
 .viz-root .verdict { margin: 16px 0; font-weight: 600; }
 .viz-root .verdict.bad { color: var(--status-critical); }
 .viz-root .spark { vertical-align: middle; }
-.viz-root .selfbar {
-  display: inline-block; height: 10px; border-radius: 2px;
-  background: var(--series-1); vertical-align: middle;
-}
-.viz-root td.frame { font-family: ui-monospace, monospace; font-size: 12px; }
 """
 
 

@@ -1,9 +1,11 @@
 """FleetPlanner: grouping, cell caching, invalidation, byte-stable dumps."""
 
+import hashlib
 import random
 
 import pytest
 
+from repro.cli import main
 from repro.fleet import FleetPlanner, FlowSpec, synthetic_fleet
 from repro.fleet.planner import menu_signature
 from repro.verify.generators import random_mckp_instance
@@ -89,6 +91,21 @@ class TestCellCache:
         plan = planner.plan(specs[:10])
         assert plan.stats.flows == 10
         assert sum(len(g.flow_ids) for g in plan.groups) == 10
+
+    def test_invalidate_one_menu_drops_only_its_cells(self):
+        planner, _, specs = _fleet()
+        plan = planner.plan(specs)
+        victim = specs[0].menu_id
+        victim_cells = sum(1 for g in plan.groups if g.menu_id == victim)
+        assert planner.invalidate(victim) == 1 + victim_cells
+        # Every other menu still answers from its cached cells.
+        replan = planner.plan(specs)
+        assert replan.stats.tables_built == 1
+        assert replan.stats.table_queries == victim_cells
+        # No-argument invalidation still drops every table and cell.
+        used = {s.menu_id for s in specs}
+        assert planner.invalidate() == len(used) + plan.stats.groups
+        assert planner.plan(specs).stats.table_queries == plan.stats.groups
 
     def test_invalidate_forces_resolve(self):
         planner, _, specs = _fleet()
@@ -198,3 +215,19 @@ class TestApproxMode:
         # Pruning must not move the fleet's total cost.
         assert plan_p.total_cost == pytest.approx(plan_r.total_cost)
         assert plan_p.stats.feasible_flows == plan_r.stats.feasible_flows
+
+
+#: sha256 of ``repro fleet --seed 0 --flows 10000 --mode exact --dump``,
+#: CI's fleet-exact replay; any change to the DP, its tie-breaks, the
+#: pruning or the dump format moves it.
+FLEET_EXACT_PIN = (
+    "cc717a0a137d521265afe2b467beeb0f572665d196bf6cfceee9780596dac20c"
+)
+
+
+def test_fleet_exact_dump_is_bit_identical_to_the_pin(tmp_path, capsys):
+    out = tmp_path / "fleet.txt"
+    argv = ["fleet", "--seed", "0", "--flows", "10000", "--mode", "exact"]
+    assert main(argv + ["--dump", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FLEET_EXACT_PIN

@@ -1,7 +1,10 @@
 """ContinuousSession + synthetic_fleet: deterministic tick-by-tick replay."""
 
+import hashlib
+
 import pytest
 
+from repro.cli import main
 from repro.fleet import (
     ContinuousSession,
     FleetPlanner,
@@ -128,3 +131,20 @@ class TestContinuousSession:
             _session(execute_per_tick=-1)
         with pytest.raises(ValueError):
             _session().run(0)
+
+
+#: sha256 of the session dump from ``repro fleet --seed 0 --flows 10000
+#: --ticks 5 --execute-per-tick 50 --dump``: covers the per-tick
+#: invalidation, re-plan and executor-lookup paths end to end.
+FLEET_SESSION_PIN = (
+    "ce054b187c424dbaade92b2390f00c957457e0115aadf71a4d3a2a740c55e6d7"
+)
+
+
+def test_session_dump_is_bit_identical_to_the_pin(tmp_path, capsys):
+    out = tmp_path / "session.txt"
+    argv = ["fleet", "--seed", "0", "--flows", "10000", "--ticks", "5"]
+    argv += ["--execute-per-tick", "50", "--dump", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FLEET_SESSION_PIN

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.obs import Tracer, scoped
 from repro.obs.log import build_crash_report, Logger
 from repro.obs.profile import (
-    FUSED_TAGS,
     Profile,
     build_profile,
     render_profile,
@@ -44,23 +43,6 @@ class TestBuildProfile:
     def test_leaf_name_property(self):
         profile = build_profile(_tick_tracer().spans)
         assert profile.frames["root/child.a"].name == "child.a"
-
-    def test_counter_tags_fused_and_summed(self):
-        profile = build_profile(_tick_tracer().spans)
-        counters = profile.frames["root/child.a"].counters
-        assert counters["flops"] == 15.0
-        assert counters["instructions"] == 100.0
-        assert "branches" not in counters
-
-    def test_bool_tags_not_fused(self):
-        tracer = Tracer(deterministic=True)
-        with tracer.span("x", flops=True):
-            pass
-        profile = build_profile(tracer.spans)
-        assert profile.frames["x"].counters == {}
-        assert set(FUSED_TAGS) == {
-            "instructions", "branches", "mem_accesses", "flops"
-        }
 
     def test_unfinished_spans_skipped(self):
         tracer = Tracer(deterministic=True)
