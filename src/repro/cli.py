@@ -923,6 +923,7 @@ def _cmd_fleet(args) -> int:
         ContinuousSession,
         FleetPlanner,
         SpotMarketFeed,
+        group_flows,
         synthetic_fleet,
     )
 
@@ -963,8 +964,9 @@ def _cmd_fleet(args) -> int:
     else:
         for menu_id in sorted(menus):
             planner.register_menu(menu_id, menus[menu_id])
+        # Grouping is part of planning a fleet, so it is timed too.
         started = _time.perf_counter()
-        plan = planner.plan(flows)
+        plan = planner.plan(group_flows(flows))
         elapsed = _time.perf_counter() - started
         stats = plan.stats
         throughput = stats.flows / elapsed if elapsed > 0 else 0.0

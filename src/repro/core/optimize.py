@@ -246,16 +246,23 @@ class MCKPTable:
         )
         self._best = np.maximum.accumulate(rises)
 
-    def query(self, deadline_seconds: float) -> Optional[Selection]:
-        """The optimal selection under any deadline ``<=`` the capacity."""
+    def best_state(self, deadline_seconds: float) -> int:
+        """The DP state :meth:`query` backtracks from for this deadline.
+
+        Deadlines with the same best state get the same selection.
+        """
         capacity = _check_deadline(self.stages, deadline_seconds)
         if capacity > self.capacity:
             raise ValueError(
                 f"deadline {capacity} exceeds table capacity {self.capacity}"
             )
+        return int(self._best[capacity])
+
+    def query(self, deadline_seconds: float) -> Optional[Selection]:
+        """The optimal selection under any deadline ``<=`` the capacity."""
+        best_c = self.best_state(deadline_seconds)
         if not self.stages:
             return Selection()
-        best_c = int(self._best[capacity])
         if self._value[best_c] == -np.inf:
             return None
 

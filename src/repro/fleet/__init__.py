@@ -17,6 +17,7 @@ from .planner import (
     FleetStats,
     FlowSpec,
     GroupPlan,
+    group_flows,
     menu_signature,
 )
 from .session import ContinuousSession, SessionReport, TickReport, synthetic_fleet
@@ -26,6 +27,7 @@ __all__ = [
     "PriceTick",
     "SpotMarketFeed",
     "FlowSpec",
+    "group_flows",
     "GroupPlan",
     "FleetStats",
     "FleetPlan",

@@ -5,14 +5,19 @@ millions of flows competing for shared capacity.  Three amortizations
 make that tractable:
 
 * **Menu sharing** — flows that characterize the same design on the
-  same catalog share a stage-option menu.  The planner groups flows by
-  ``(menu, floor(deadline))`` so identical instances are solved once and
-  answered from a dict hit.
+  same catalog share a stage-option menu.  :func:`group_flows` buckets
+  flows by ``(menu, floor(deadline))`` cell, and :meth:`FleetPlanner.plan`
+  takes those groups, so a plan costs one solve or cache probe per
+  cell, not per flow.  A long-lived caller
+  (:class:`~repro.fleet.session.ContinuousSession`) groups once and keeps
+  the groups current as flows leave.
 * **DP-table reuse** — one :class:`~repro.core.optimize.MCKPTable`
   solved to the *largest* deadline in a menu's group answers every
   smaller deadline identically to a fresh ``solve_mckp_dp`` call (the
   DP state is indexed by exact runtime and never reads forward), so a
-  thousand nearby deadlines cost one DP.
+  thousand nearby deadlines cost one DP.  Deadlines whose best DP state
+  coincides share one backtrack: a cell's selection and sums are
+  memoized per ``(menu, best state)`` beside the table.
 * **Dominance pruning** — IP-dominated options are removed from every
   menu before any solve; the optimum is provably unchanged and the DP's
   inner loop shrinks.
@@ -45,6 +50,8 @@ from ..core.optimize import (
 
 __all__ = [
     "FlowSpec",
+    "FlowGroups",
+    "group_flows",
     "GroupPlan",
     "FleetStats",
     "FleetPlan",
@@ -79,9 +86,43 @@ class FlowSpec:
     deadline_seconds: float
 
 
+#: Flow ids bucketed by solved cell: ``(menu_id, floor(deadline))``.
+FlowGroups = Dict[Tuple[str, int], List[str]]
+
+#: A solved cell's fields, in :class:`GroupPlan` order from ``feasible``
+#: to ``certified_gap``.
+_Cell = Tuple[bool, Optional[Selection], float, float, int, Optional[float]]
+
+
+def group_flows(specs: Iterable[FlowSpec]) -> FlowGroups:
+    """Bucket flows by ``(menu_id, floor(deadline))``, in first-seen order.
+
+    Each cell's flow ids keep the order the specs arrive in; this is the
+    input :meth:`FleetPlanner.plan` takes.
+    """
+    groups: FlowGroups = {}
+    for spec in specs:
+        if spec.deadline_seconds <= 0:
+            raise ValueError(
+                f"flow {spec.flow_id}: deadline must be positive"
+            )
+        key = (spec.menu_id, int(spec.deadline_seconds))
+        flow_ids = groups.get(key)
+        if flow_ids is None:
+            groups[key] = [spec.flow_id]
+        else:
+            flow_ids.append(spec.flow_id)
+    return groups
+
+
 @dataclass
 class GroupPlan:
-    """One solved ``(menu, deadline)`` cell and every flow it answers."""
+    """One solved ``(menu, deadline)`` cell and every flow it answers.
+
+    ``selection`` is shared with every other cell of the same menu whose
+    deadline reaches the same best DP state, and with later plans that
+    answer the cell from cache: treat it as read-only.
+    """
 
     menu_id: str
     capacity: int
@@ -198,8 +239,10 @@ class FleetPlanner:
         self._menus: Dict[str, List[StageOptions]] = {}
         self._signatures: Dict[str, int] = {}
         self._pruned_counts: Dict[str, int] = {}
-        self._tables: Dict[str, MCKPTable] = {}
-        self._cells: Dict[Tuple[str, int], GroupPlan] = {}
+        # Each menu's DP table beside its per-state memo: the solved
+        # fields of every best DP state some deadline has reached.
+        self._tables: Dict[str, Tuple[MCKPTable, Dict[int, _Cell]]] = {}
+        self._cells: Dict[Tuple[str, int], _Cell] = {}
         # Each menu's cell keys, so invalidating one menu touches only
         # its own cells rather than scanning every menu's.
         self._menu_cells: Dict[str, List[Tuple[str, int]]] = {}
@@ -250,153 +293,99 @@ class FleetPlanner:
 
     # -- planning ---------------------------------------------------------
 
-    def plan(self, flows: Iterable[FlowSpec]) -> FleetPlan:
-        """Plan every flow; amortized across shared menus and deadlines."""
+    def plan(
+        self, groups: Mapping[Tuple[str, int], Sequence[str]]
+    ) -> FleetPlan:
+        """Plan every grouped flow; amortized across menus and deadlines.
+
+        ``groups`` maps each ``(menu_id, floor(deadline))`` cell to its
+        flow ids (see :func:`group_flows`); empty groups are skipped.
+        The plan copies every id list, so later changes to ``groups``
+        do not reach it.
+        """
         stats = FleetStats(
             invalidations=self._invalidations,
         )
         cells = self._cells
-        # Group flows by solved cell.  This loop is the 10^5-flows/sec
-        # hot path: one int floor, one tuple key, one dict hit per flow.
-        fresh: Dict[Tuple[str, int], List[str]] = {}
-        groups: List[GroupPlan] = []
-        for spec in flows:
-            stats.flows += 1
-            if spec.deadline_seconds <= 0:
-                raise ValueError(
-                    f"flow {spec.flow_id}: deadline must be positive"
-                )
-            key = (spec.menu_id, int(spec.deadline_seconds))
+        planned: List[GroupPlan] = []
+        fresh: List[Tuple[str, int]] = []
+        for key, flow_ids in groups.items():
+            if not flow_ids:
+                continue
+            stats.flows += len(flow_ids)
             cell = cells.get(key)
             if cell is not None:
-                if not cell.flow_ids:
-                    groups.append(cell)
-                else:
-                    stats.group_hits += 1
-                cell.flow_ids.append(spec.flow_id)
-                continue
-            pending = fresh.get(key)
-            if pending is not None:
-                stats.group_hits += 1
-                pending.append(spec.flow_id)
-                continue
-            if spec.menu_id not in self._menus:
-                raise KeyError(f"unregistered menu {spec.menu_id!r}")
-            fresh[key] = [spec.flow_id]
+                planned.append(GroupPlan(*key, *cell, list(flow_ids)))
+            elif key[0] not in self._menus:
+                raise KeyError(f"unregistered menu {key[0]!r}")
+            else:
+                fresh.append(key)
 
         # Solve fresh cells menu-by-menu, largest deadline first, so the
         # first (largest) cell builds the table every smaller one reuses.
-        for menu_id, capacity in sorted(
-            fresh, key=lambda k: (k[0], -k[1])
-        ):
-            flow_ids = fresh[(menu_id, capacity)]
-            cell = self._solve_cell(menu_id, capacity, stats)
-            cell.flow_ids.extend(flow_ids)
-            cells[(menu_id, capacity)] = cell
-            self._menu_cells.setdefault(menu_id, []).append(
-                (menu_id, capacity)
-            )
-            groups.append(cell)
+        for key in sorted(fresh, key=lambda k: (k[0], -k[1])):
+            cell = self._solve_cell(*key, stats)
+            cells[key] = cell
+            self._menu_cells.setdefault(key[0], []).append(key)
+            planned.append(GroupPlan(*key, *cell, list(groups[key])))
 
-        for group in groups:
+        for group in planned:
             count = len(group.flow_ids)
             if group.feasible:
                 stats.feasible_flows += count
             else:
                 stats.infeasible_flows += count
-        stats.groups = len(groups)
+        stats.groups = len(planned)
+        stats.group_hits = stats.flows - stats.groups
         stats.pruned_options = sum(
             self._pruned_counts.get(mid, 0) for mid in self._menus
         )
-        # Reset per-call flow lists lazily: cells persist for reuse, but
-        # each plan() reports only its own flows.
-        plan = FleetPlan(
-            mode=self.mode,
-            groups=[
-                GroupPlan(
-                    menu_id=g.menu_id,
-                    capacity=g.capacity,
-                    feasible=g.feasible,
-                    selection=g.selection,
-                    objective=g.objective,
-                    total_cost=g.total_cost,
-                    total_runtime=g.total_runtime,
-                    certified_gap=g.certified_gap,
-                    flow_ids=list(g.flow_ids),
-                )
-                for g in groups
-            ],
-            stats=stats,
-        )
-        for group in groups:
-            group.flow_ids.clear()
-        return plan
+        return FleetPlan(mode=self.mode, groups=planned, stats=stats)
 
     def _solve_cell(
         self, menu_id: str, capacity: int, stats: FleetStats
-    ) -> GroupPlan:
+    ) -> _Cell:
         stages = self._menus[menu_id]
         if self.mode == "approx":
             stats.approx_solves += 1
-            return _cell_from_approx(
-                menu_id, capacity, solve_approx(stages, capacity)
-            )
-        table = self._tables.get(menu_id)
-        if table is None or table.capacity < capacity:
-            table = MCKPTable(stages, capacity)
-            self._tables[menu_id] = table
+            return _approx_cell(solve_approx(stages, capacity))
+        entry = self._tables.get(menu_id)
+        if entry is None or entry[0].capacity < capacity:
+            entry = (MCKPTable(stages, capacity), {})
+            self._tables[menu_id] = entry
             stats.tables_built += 1
         stats.table_queries += 1
-        return _cell_from_selection(menu_id, capacity, table.query(capacity))
+        table, states = entry
+        # Deadlines that reach the same best DP state backtrack to the
+        # same selection, so each state is backtracked and summed once.
+        state = table.best_state(capacity)
+        cell = states.get(state)
+        if cell is None:
+            cell = states[state] = _exact_cell(table.query(capacity))
+        return cell
 
 
-def _cell_from_selection(
-    menu_id: str, capacity: int, selection: Optional[Selection]
-) -> GroupPlan:
+def _exact_cell(selection: Optional[Selection]) -> _Cell:
     if selection is None:
-        return GroupPlan(
-            menu_id=menu_id,
-            capacity=capacity,
-            feasible=False,
-            selection=None,
-            objective=0.0,
-            total_cost=0.0,
-            total_runtime=0,
-            certified_gap=None,
-        )
-    return GroupPlan(
-        menu_id=menu_id,
-        capacity=capacity,
-        feasible=True,
-        selection=selection,
-        objective=selection.objective_inverse_price,
-        total_cost=selection.total_cost,
-        total_runtime=selection.total_runtime,
-        certified_gap=None,
+        return (False, None, 0.0, 0.0, 0, None)
+    return (
+        True,
+        selection,
+        selection.objective_inverse_price,
+        selection.total_cost,
+        selection.total_runtime,
+        None,
     )
 
 
-def _cell_from_approx(
-    menu_id: str, capacity: int, result: Optional[ApproxResult]
-) -> GroupPlan:
+def _approx_cell(result: Optional[ApproxResult]) -> _Cell:
     if result is None:
-        return GroupPlan(
-            menu_id=menu_id,
-            capacity=capacity,
-            feasible=False,
-            selection=None,
-            objective=0.0,
-            total_cost=0.0,
-            total_runtime=0,
-            certified_gap=0.0,
-        )
-    return GroupPlan(
-        menu_id=menu_id,
-        capacity=capacity,
-        feasible=True,
-        selection=result.selection,
-        objective=result.objective,
-        total_cost=result.selection.total_cost,
-        total_runtime=result.selection.total_runtime,
-        certified_gap=result.certified_gap,
+        return (False, None, 0.0, 0.0, 0, 0.0)
+    return (
+        True,
+        result.selection,
+        result.objective,
+        result.selection.total_cost,
+        result.selection.total_runtime,
+        result.certified_gap,
     )

@@ -33,7 +33,7 @@ from ..core.optimize import ConfigOption, StageOptions
 from ..eda.job import EDAStage
 from ..obs.spans import mint_trace_id
 from .market import SpotMarketFeed
-from .planner import FleetPlan, FleetPlanner, FlowSpec
+from .planner import FleetPlan, FleetPlanner, FlowGroups, FlowSpec, group_flows
 
 __all__ = [
     "synthetic_fleet",
@@ -107,13 +107,18 @@ def synthetic_fleet(
                 for k in range(deadline_buckets)
             ]
     menu_ids = sorted(menu_map)
+    # The per-flow loop is most of a large fleet's set-up: bind the
+    # draw, float each deadline once, and build specs positionally.
+    randrange = rng.randrange
+    floated = {
+        mid: [float(d) for d in deadlines]
+        for mid, deadlines in menu_deadlines.items()
+    }
     specs = [
         FlowSpec(
-            flow_id=f"flow-{i:07d}",
-            menu_id=(mid := menu_ids[rng.randrange(len(menu_ids))]),
-            deadline_seconds=float(
-                menu_deadlines[mid][rng.randrange(deadline_buckets)]
-            ),
+            f"flow-{i:07d}",
+            mid := menu_ids[randrange(len(menu_ids))],
+            floated[mid][randrange(deadline_buckets)],
         )
         for i in range(flows)
     ]
@@ -179,6 +184,10 @@ class ContinuousSession:
     ``execute_per_tick`` of them to the fault-injecting executor with
     the *live* menu as ``stage_options`` — so preemption-driven
     fallback inside the executor re-plans on current prices too.
+
+    ``pending_groups`` is ``group_flows(pending)``, built once and kept
+    current as flows execute, so a tick re-plans its cells without
+    re-grouping every pending flow.
     """
 
     def __init__(
@@ -198,6 +207,7 @@ class ContinuousSession:
         self.pending: List[FlowSpec] = sorted(
             flows, key=lambda f: f.flow_id
         )
+        self.pending_groups: FlowGroups = group_flows(self.pending)
         self.feed = feed if feed is not None else SpotMarketFeed(seed=seed)
         self.planner = planner if planner is not None else FleetPlanner()
         self.executor = PlanExecutor(
@@ -230,7 +240,7 @@ class ContinuousSession:
             if self.planner.register_menu(menu_id, repriced):
                 invalidated += 1
             self.live_menus[menu_id] = self.planner.menu(menu_id)
-        plan = self.planner.plan(self.pending)
+        plan = self.planner.plan(self.pending_groups)
         self.report.final_plan = plan
         tick_report = TickReport(
             tick=tick,
@@ -252,9 +262,14 @@ class ContinuousSession:
             # every planned flow id.
             cells = {(g.menu_id, g.capacity): g for g in plan.groups}
             for spec in batch:
-                selection = cells[
-                    (spec.menu_id, int(spec.deadline_seconds))
-                ].selection
+                key = (spec.menu_id, int(spec.deadline_seconds))
+                # The batch is the head of the flow-id-sorted queue, so
+                # each executed flow heads its cell's id list.
+                flow_ids = self.pending_groups[key]
+                del flow_ids[0]
+                if not flow_ids:
+                    del self.pending_groups[key]
+                selection = cells[key].selection
                 if selection is None:
                     continue  # infeasible flows stay unexecuted
                 deployment = selection.to_plan(spec.flow_id)

@@ -235,7 +235,7 @@ class PipelineRunner:
         return {"kind": "sleep", "steps": done}
 
     def _run_fleet(self, job: Job, ctx: JobContext) -> dict:
-        from ..fleet import FleetPlanner, synthetic_fleet
+        from ..fleet import FleetPlanner, group_flows, synthetic_fleet
 
         params = job.request.params
         flows = int(params.get("flows", 2000))
@@ -259,7 +259,7 @@ class PipelineRunner:
         planner = FleetPlanner(mode=mode)
         for menu_id in sorted(menu_map):
             planner.register_menu(menu_id, menu_map[menu_id])
-        plan = planner.plan(specs)
+        plan = planner.plan(group_flows(specs))
         ctx.checkpoint()
         metrics = get_metrics()
         metrics.gauge("service.fleet.total_cost").set(plan.total_cost)

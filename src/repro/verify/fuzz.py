@@ -109,7 +109,7 @@ def _service_trial(rng: random.Random) -> List[str]:
 
 def _fleet_trial(rng: random.Random) -> List[str]:
     menus, flows = generators.random_fleet_case(rng)
-    return oracles.fleet_violations(menus, flows)
+    return oracles.fleet_violations(menus, flows, seed=rng.randrange(2**31))
 
 
 def _attrib_trial(rng: random.Random) -> List[str]:

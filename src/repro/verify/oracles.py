@@ -72,6 +72,7 @@ __all__ = [
     "obs_violations",
     "service_violations",
     "fleet_violations",
+    "fleet_session_violations",
     "attrib_violations",
     "slo_violations",
 ]
@@ -845,7 +846,12 @@ def _choice_map(selection: Selection):
     }
 
 
-def fleet_violations(menus, flows) -> List[str]:
+def _dump_body(plan) -> str:
+    """A plan dump without its header of per-call work counters."""
+    return plan.dump().split("\n", 1)[1]
+
+
+def fleet_violations(menus, flows, seed: int = 0) -> List[str]:
     """Audit every fleet amortization against fresh exact solves.
 
     * **dominance pruning** — for every ``(menu, deadline)`` a flow
@@ -868,9 +874,12 @@ def fleet_violations(menus, flows) -> List[str]:
       group (so batching, grouping, and cross-call cell caching change
       nothing), a second ``plan()`` over the same flows emits a
       byte-identical dump, and approx-mode group gaps dominate their
-      true gaps.
+      true gaps;
+    * **session grouping** — a short exact-mode
+      :class:`~repro.fleet.ContinuousSession` seeded with ``seed``
+      passes :func:`fleet_session_violations`.
     """
-    from ..fleet import FleetPlanner
+    from ..fleet import FleetPlanner, group_flows
 
     out: List[str] = []
     deadlines = {}
@@ -975,7 +984,7 @@ def fleet_violations(menus, flows) -> List[str]:
     planner = FleetPlanner(mode="exact")
     for menu_id in sorted(menus):
         planner.register_menu(menu_id, menus[menu_id])
-    plan = planner.plan(flows)
+    plan = planner.plan(group_flows(flows))
     if plan.stats.flows != len(list(flows)):
         out.append(
             f"fleet: planner saw {plan.stats.flows} flows, expected "
@@ -1000,9 +1009,9 @@ def fleet_violations(menus, flows) -> List[str]:
     # The dump header carries per-call work counters (tables built this
     # call), which legitimately drop to zero on a cached re-plan; the
     # *plan* — every group line — must be byte-identical.
-    replan = planner.plan(flows)
+    replan = planner.plan(group_flows(flows))
     if (
-        replan.dump().split("\n", 1)[1] != plan.dump().split("\n", 1)[1]
+        _dump_body(replan) != _dump_body(plan)
         or replan.total_cost != plan.total_cost
     ):
         out.append("fleet: second plan() over cached cells changed the plan")
@@ -1010,7 +1019,7 @@ def fleet_violations(menus, flows) -> List[str]:
     approx_planner = FleetPlanner(mode="approx")
     for menu_id in sorted(menus):
         approx_planner.register_menu(menu_id, menus[menu_id])
-    approx_plan = approx_planner.plan(flows)
+    approx_plan = approx_planner.plan(group_flows(flows))
     for group in approx_plan.groups:
         fresh = solve_mckp_dp(pruned_menus[group.menu_id], group.capacity)
         if group.feasible != (fresh is not None):
@@ -1028,6 +1037,75 @@ def fleet_violations(menus, flows) -> List[str]:
                     f"{group.menu_id}@{group.capacity} certified gap "
                     f"{group.certified_gap!r} below true gap {true_gap!r}"
                 )
+    out += fleet_session_violations(menus, flows, seed)
+    return out
+
+
+def fleet_session_violations(
+    menus,
+    flows,
+    seed: int,
+    mode: str = "exact",
+    ticks: int = 3,
+    execute_per_tick: int = 2,
+) -> List[str]:
+    """Audit a :class:`~repro.fleet.ContinuousSession`'s kept grouping.
+
+    The session groups its queue once and then edits the groups as
+    flows execute.  At the start and after every step its
+    ``pending_groups`` must equal ``group_flows(pending)``: the same
+    cells, each with the same flow ids in the same order.  Each tick's
+    plan must dump (less the work-counter header) byte-equal to a fresh
+    planner's plan of ``group_flows`` over the queue the tick planned,
+    against the tick's live menus.  The defaults run a few flows per
+    tick, so cells empty and drop out while the check runs.
+    """
+    from ..fleet import (
+        ContinuousSession,
+        FleetPlanner,
+        SpotMarketFeed,
+        group_flows,
+    )
+
+    session = ContinuousSession(
+        menus,
+        flows,
+        feed=SpotMarketFeed(seed=seed),
+        planner=FleetPlanner(mode=mode),
+        seed=seed,
+        execute_per_tick=execute_per_tick,
+    )
+    out: List[str] = []
+
+    def check_groups(when: str) -> None:
+        expected = group_flows(session.pending)
+        if session.pending_groups != expected:
+            cells = sorted(set(session.pending_groups) | set(expected))
+            wrong = [
+                cell
+                for cell in cells
+                if session.pending_groups.get(cell) != expected.get(cell)
+            ]
+            out.append(
+                f"fleet session ({mode}) {when}: kept groups differ from "
+                f"group_flows(pending) on cells {wrong[:3]}"
+            )
+
+    check_groups("at start")
+    for tick in range(ticks):
+        queue = list(session.pending)
+        session.step()
+        check_groups(f"after tick {tick}")
+        fresh = FleetPlanner(mode=mode)
+        for menu_id in sorted(session.live_menus):
+            fresh.register_menu(menu_id, session.live_menus[menu_id])
+        if _dump_body(session.report.final_plan) != _dump_body(
+            fresh.plan(group_flows(queue))
+        ):
+            out.append(
+                f"fleet session ({mode}) tick {tick}: plan differs from a "
+                f"fresh plan of the same queue"
+            )
     return out
 
 

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.verify.oracles import fleet_session_violations
 from repro.fleet import (
     ContinuousSession,
     FleetPlanner,
@@ -84,8 +85,9 @@ class TestContinuousSession:
         session = _session(flows=60, execute_per_tick=25)
         report = session.run(3)
         # 25 + 25 + 10: the queue drains, then sits empty.
-        assert [len(t.executed) <= 25 for t in report.ticks]
+        assert all(len(t.executed) <= 25 for t in report.ticks)
         assert len(session.pending) == 0
+        assert session.pending_groups == {}
         assert (
             report.executed_flows
             + sum(
@@ -125,6 +127,15 @@ class TestContinuousSession:
         report = _session(mode="approx", execute_per_tick=5).run(2)
         assert report.mode == "approx"
         assert report.final_plan is not None
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_kept_groups_match_a_fresh_grouping_every_tick(self, mode):
+        # 4 ticks of 75 drain all 300 flows, so every cell empties.
+        menus, specs = synthetic_fleet(seed=4, flows=300, menus=4)
+        problems = fleet_session_violations(
+            menus, specs, seed=4, mode=mode, ticks=4, execute_per_tick=75
+        )
+        assert problems == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
